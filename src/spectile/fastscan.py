@@ -6,7 +6,11 @@ Python loop.  Three families of kernels live here:
 
 * canonicalization: the affine-orbit representative of every mask in a batch,
   bit-for-bit identical to canonical_form, via per-unit permutation tables
-  acting on 10-bit chunks;
+  acting on 10-bit chunks; and the filter keeping the masks that already are
+  their representative.  It drops a mask at the first affine image seen to
+  beat it, so every stage is exact: a cyclic run of ones longer than the
+  mask's leading run (a largest rotation starts with a longest run), then a
+  larger rotation, then a larger image under each further unit in turn;
 * zero-set classes: which divisor classes vanish for every mask in a batch,
   via per-class fold masks (popcounts of congruence strata) and small integer
   reduction matrices mod the relevant cyclotomic polynomial;
@@ -26,8 +30,7 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import euler_phi, reduce_mod_cyclotomic
-from .groupring import GroupRingElement, Modulus, ZeroSet, subset
-from .spectral import canonical_form  # noqa: F401  (re-exported for callers)
+from .groupring import Modulus, ZeroSet, subset
 from .spectral import spectrum_search
 from .tiling import complement_search
 
@@ -40,7 +43,6 @@ __all__ = [
     "canonicalize_batch",
     "canonical_filter",
     "zero_class_matrix",
-    "masks_to_sets",
     "zero_set_from_bits",
     "batch_verdicts",
     "BatchVerdict",
@@ -169,25 +171,57 @@ def canonicalize_batch(masks: np.ndarray, t: ModulusTables) -> np.ndarray:
     return _apply_chunks(best, t.rev_tables)
 
 
+def _run_survivors(masks: np.ndarray, n: int) -> np.ndarray:
+    """Stage 1 of canonical_filter: drop masks a longer run of ones beats.
+
+    A mask whose leading members are exactly 0..k-1 is dropped when Z_n has
+    a cyclic run of k+1 consecutive members; runs of up to 4 are looked for.
+    Apart from the full set, a canonical mask also lacks n-1 (else its
+    leading run would wrap round), so the runs of the masks that remain never
+    wrap and plain shifts find them.  Masks leading with 4 or more members
+    all pass on to the rotation stage: following their longer runs cost more
+    time than it saved.
+    """
+    lead = np.bitwise_count(masks & ~(masks + np.uint64(1)))
+    keep = ((masks >> np.uint64(n - 1)) == 0) | (masks == np.uint64((1 << n) - 1))
+    # bit g of runs: g, g+1, ..., g+j are all members
+    runs = masks
+    longest = (runs != 0).view(np.uint8)  # min(longest run, j + 1)
+    for j in range(1, 4):
+        runs = runs & (masks >> np.uint64(j))
+        longest += runs != 0
+    return keep & (longest <= lead)
+
+
 def canonical_filter(masks: np.ndarray, t: ModulusTables) -> np.ndarray:
     """Boolean mask of batch entries that already are their canonical form.
 
-    A mask is canonical exactly when its own reversed encoding attains the
-    orbit maximum.  Rotations alone eliminate all but ~1/n of a batch, so the
-    all-units pass only runs on that remainder.
+    A mask is canonical exactly when its reversed encoding, which lists the
+    membership of 0, 1, 2, ... from the top bit down, is the largest among
+    the encodings of its affine images.  Each of three stages drops masks
+    that some affine image beats, so it drops no canonical mask, and each
+    costlier stage only sees what the one before kept:
+
+    1. runs (_run_survivors): the largest rotation of an encoding starts with
+       a longest cyclic run of ones, so a mask leading with a shorter run
+       loses to a rotation of itself;
+    2. rotations: the survivors must equal their own rotation_max;
+    3. units: for each further unit in turn, the masks whose encoding is
+       below the rotation_max of that unit's image are dropped.  What is left
+       is at least every affine image, so it is the orbit maximum.
     """
-    enc1 = encode_batch(masks, 1, t)
-    keep = enc1 == rotation_max(enc1, t.n)
-    if not keep.any():
-        return keep
-    idx = np.nonzero(keep)[0]
+    n = t.n
+    idx = np.nonzero(_run_survivors(masks, n))[0]
     sub = masks[idx]
-    best = enc1[idx].copy()
-    for u in t.units[1:]:
-        np.maximum(best, rotation_max(encode_batch(sub, u, t), t.n), out=best)
-    keep2 = enc1[idx] == best
+    enc1 = encode_batch(sub, 1, t)
+    won = enc1 == rotation_max(enc1, n)
+    # -1 first: the reflection has the mask's own runs, so the stages above
+    # tell nothing about it, and about half of what they keep loses to it.
+    for u in reversed(t.units[1:]):
+        idx, sub, enc1 = idx[won], sub[won], enc1[won]
+        won = enc1 >= rotation_max(encode_batch(sub, u, t), n)
     out = np.zeros(len(masks), dtype=bool)
-    out[idx[keep2]] = True
+    out[idx[won]] = True
     return out
 
 
@@ -212,13 +246,6 @@ def zero_class_matrix(masks: np.ndarray, t: ModulusTables) -> tuple:
         zbits[j] = hit
         zsize += hit * t.class_sizes[j]
     return zbits, zsize
-
-
-def masks_to_sets(masks: np.ndarray, t: ModulusTables) -> list[GroupRingElement]:
-    n = t.n
-    return [
-        subset(t.modulus, [g for g in range(n) if (int(m) >> g) & 1]) for m in masks
-    ]
 
 
 def zero_set_from_bits(bits: np.ndarray, t: ModulusTables) -> ZeroSet:

@@ -174,16 +174,17 @@ def scan_class_count(n: int) -> int:
 
 
 def _exhaustive_classes(n: int, batch: int):
-    """Ascending canonical masks with 0 in the set and size in [2, n-1]."""
+    """Ascending canonical masks with 0 in the set and size in [2, n-1].
+
+    Only odd masks from 3 up to 2^(n-1) are generated: a canonical set holds
+    0 and, unless it is all of Z_n, not n-1 (see fastscan._run_survivors),
+    so these are exactly the candidates of size 2 to n-1.
+    """
     t = modulus_tables(n)
-    for start in range(0, 1 << n, batch):
-        stop = min(start + batch, 1 << n)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        masks = masks[(masks & np.uint64(1)).astype(bool)]
-        pc = np.bitwise_count(masks)
-        masks = masks[(pc >= 2) & (pc <= n - 1)]
-        if not len(masks):
-            continue
+    half = 1 << (n - 1)
+    for start in range(0, half, batch):
+        stop = min(start + batch, half)
+        masks = np.arange(max(start | 1, 3), stop, 2, dtype=np.uint64)
         keep = canonical_filter(masks, t)
         if keep.any():
             yield masks[keep]
@@ -408,6 +409,11 @@ def fuglede_scan(config: ScanConfig) -> ScanReport:
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.mode == "sample" and config.sample_count < 1:
         raise ValueError("sample mode needs sample_count >= 1")
+    if config.mode == "sample" and config.sample_count > scan_class_count(n):
+        raise ValueError(
+            f"sample_count {config.sample_count} exceeds the "
+            f"{scan_class_count(n)} classes of Z_{n}"
+        )
     if config.workers > 1 and config.out is None:
         raise ValueError("parallel scans need an output path for part files")
 

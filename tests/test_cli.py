@@ -128,6 +128,22 @@ def test_scan_usage_errors(capsys):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize("trials, code", [("100", 3), ("21", 0)])
+def test_scan_sample_count_above_class_count(trials, code):
+    # Z_8 has 21 classes; asking for more used to sample forever.
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectile", "scan", "--n", "8", "--mode", "sample",
+         "--trials", trials],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 3:
+        assert "exceeds the 21 classes" in proc.stderr
+
+
 def test_scan_inconclusive_exit(capsys):
     assert run_cli("scan", "--n", "8", "--budget", "1") == 2
 

@@ -11,6 +11,7 @@ import pytest
 
 from spectile.fastscan import (
     MAX_SCAN_N,
+    _run_survivors,
     batch_verdicts,
     canonical_filter,
     canonicalize_batch,
@@ -55,15 +56,69 @@ def test_canonicalize_batch_matches_pure_sampled(n):
         assert members_of(c, n) == expected
 
 
+def canonical_rich_masks(n: int, seed: int) -> np.ndarray:
+    """Masks that reach the filter's rotation and unit stages.
+
+    Canonical forms of random masks, each of their one-bit flips, and masks
+    leading with runs of 4 to 10 members (which the run stage lets through
+    unchecked) over random higher bits.
+    """
+    t = modulus_tables(n)
+    canon = canonicalize_batch(random_masks(n, 300, seed), t)
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    flips = (canon[:, None] ^ bits[None, :]).ravel()
+    runs = []
+    for k in range(4, min(11, n)):
+        high = random_masks(n, 500, seed + k) & ~np.uint64((1 << (k + 1)) - 1)
+        runs.append(high | np.uint64((1 << k) - 1))
+    return np.concatenate([canon, flips, *runs])
+
+
 @pytest.mark.parametrize("n", [8, 12, 30, 60])
 def test_canonical_filter_keeps_exactly_the_fixed_points(n):
     t = modulus_tables(n)
-    masks = random_masks(n, 4000, seed=3 * n)
+    masks = np.concatenate(
+        [random_masks(n, 4000, seed=3 * n), canonical_rich_masks(n, seed=5 * n)]
+    )
     keep = canonical_filter(masks, t)
     canon = canonicalize_batch(masks, t)
     assert np.array_equal(keep, canon == masks)
+    assert keep.sum() >= 300
     again = canonicalize_batch(canon, t)
     assert np.array_equal(again, canon)
+
+
+def leading_run_survives(mask: int, n: int) -> bool:
+    """Stage 1 of canonical_filter, read off the members one by one."""
+    bits = [(mask >> g) & 1 for g in range(n)]
+    if all(bits):
+        return True
+    if bits[-1]:
+        return False  # the leading run would wrap round from n-1
+    lead = bits.index(0)
+    longest = run = 0
+    for b in bits + bits:
+        run = run + 1 if b else 0
+        longest = max(longest, run)
+    return lead >= min(longest, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 30, 60])
+def test_run_survivors_drop_exactly_the_shorter_leading_runs(n):
+    if n <= 12:
+        masks = np.arange(1 << n, dtype=np.uint64)
+    else:
+        masks = canonical_rich_masks(n, seed=7 * n)
+    got = _run_survivors(masks, n)
+    assert got.tolist() == [leading_run_survives(m, n) for m in masks.tolist()]
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 18, 20])
+def test_canonical_filter_matches_canonicalize_exhaustively(n):
+    t = modulus_tables(n)
+    masks = np.arange(1 << n, dtype=np.uint64)
+    keep = canonical_filter(masks, t)
+    assert np.array_equal(keep, canonicalize_batch(masks, t) == masks)
 
 
 @pytest.mark.parametrize("n", [8, 12, 30, 60])

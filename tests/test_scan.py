@@ -227,6 +227,8 @@ def test_config_validation(tmp_path):
         fuglede_scan(ScanConfig(n=8, mode="stochastic"))
     with pytest.raises(ValueError, match="sample_count"):
         fuglede_scan(ScanConfig(n=8, mode="sample"))
+    with pytest.raises(ValueError, match="exceeds the 21 classes"):
+        fuglede_scan(ScanConfig(n=8, mode="sample", sample_count=22))
     with pytest.raises(ValueError, match="output path"):
         fuglede_scan(ScanConfig(n=8, workers=2))
     with pytest.raises(ValueError, match="ceiling"):
