@@ -51,10 +51,6 @@ def _resolve_set(parser: _Parser, n: int | None, literal: str) -> GroupRingEleme
         parser.error(str(exc))
 
 
-def _residues(x: GroupRingElement) -> str:
-    return ",".join(str(g) for g in x.support)
-
-
 def _cmd_zeros(parser, args):
     x = _resolve_set(parser, args.n, args.set)
     zs = zero_set(x)
@@ -66,11 +62,7 @@ def _cmd_zeros(parser, args):
             pm = PnqrModulus.from_int(x.n)
         except ValueError as exc:
             parser.error(str(exc))
-        grid = decompose(x, pm)
-        for j, row in enumerate(grid.cells):
-            for k, cell in enumerate(row):
-                if cell.support:
-                    print(f"({j},{k}): {_residues(cell)}")
+        print(decompose(x, pm).dump())
     return EXIT_OK
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from sympy import divisors, isprime, totient
-
 __all__ = [
     "CyclotomicPoly",
     "CyclotomicInteger",
@@ -29,11 +27,53 @@ __all__ = [
     "reduce_mod_cyclotomic",
     "prime_power_vanishing",
     "euler_phi",
+    "factorize",
+    "divisors",
+    "is_prime",
 ]
 
 
+# -- integer helpers -------------------------------------------------------
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of 1 <= n < 2^31, primes ascending.
+
+    Trial division: below 2^31 no divisor past 46,340 is ever tried.
+    """
+    if not 1 <= n < 2**31:
+        raise ValueError(f"factorize needs 1 <= n < 2^31, got {n}")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of 1 <= n < 2^31, ascending."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def is_prime(n: int) -> bool:
+    """Primality of n < 2^31 (anything below 2 is not prime)."""
+    return n >= 2 and factorize(n) == {n: 1}
+
+
 def euler_phi(n: int) -> int:
-    return int(totient(n))
+    """Euler's totient of 1 <= n < 2^31."""
+    out = 1
+    for p, e in factorize(n).items():
+        out *= (p - 1) * p ** (e - 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,7 +229,7 @@ def prime_power_vanishing(values: Sequence[int], p: int, n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if p < 2 or not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     size = p**n
     if len(values) != size:

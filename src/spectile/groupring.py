@@ -24,9 +24,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from sympy import divisors, factorint
-
-from .cyclotomic import CyclotomicInteger
+from .cyclotomic import CyclotomicInteger, divisors, factorize
 
 __all__ = [
     "Modulus",
@@ -56,7 +54,7 @@ class Modulus:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or not 2 <= self.n <= _MAX_N:
             raise ValueError(f"modulus must be an integer in [2, 2^31), got {self.n}")
-        fac = tuple(sorted((int(p), int(e)) for p, e in factorint(self.n).items()))
+        fac = tuple(factorize(self.n).items())
         object.__setattr__(self, "factorization", fac)
 
     @property
@@ -64,7 +62,7 @@ class Modulus:
         return tuple(p for p, _ in self.factorization)
 
     def divisors(self) -> list[int]:
-        return [int(d) for d in divisors(self.n)]
+        return divisors(self.n)
 
     def units(self) -> list[int]:
         return _units(self.n)

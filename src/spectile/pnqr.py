@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
-from sympy import isprime
-
-from .cyclotomic import CyclotomicInteger, prime_power_vanishing
+from .cyclotomic import CyclotomicInteger, is_prime, prime_power_vanishing
 from .groupring import GroupRingElement, Modulus, ZeroSet, as_modulus, zero_set
 
 __all__ = [
@@ -72,7 +70,7 @@ class PnqrModulus:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for v in (self.p, self.q, self.r):
-            if not isprime(v):
+            if not is_prime(v):
                 raise ValueError(f"{v} is not prime")
         if len({self.p, self.q, self.r}) != 3:
             raise ValueError("p, q, r must be distinct")
@@ -481,7 +479,7 @@ def digit_set_check(
     the span itself.  All four hypotheses are tested and reported; when they
     hold, the conclusion is checked by direct comparison.
     """
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -535,7 +533,7 @@ def generating_pair(
         raise ValueError("T must be a set")
     if 0 not in t:
         raise ValueError("T must contain 0")
-    if p == q or not isprime(p) or not isprime(q) or n % p or n % q:
+    if p == q or not is_prime(p) or not is_prime(q) or n % p or n % q:
         raise ValueError(f"need distinct prime divisors of {n}, got {p}, {q}")
     if not is_generating(t, t.modulus):
         return GeneratingPairResult(False, None)

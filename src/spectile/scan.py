@@ -11,29 +11,32 @@ function: the record stream, the report, and the bytes of the output file
 are all identical run to run.
 
 Persistence is an append-only file of one JSON record per line, keyed by
-modulus and canonical mask.  Resuming re-derives the class sequence, skips
-keys already present (after truncating a partially written trailing line),
-and appends the rest, so an interrupted-and-resumed scan converges to the
-same bytes as an uninterrupted one.  With several workers the remaining
-classes are cut into deterministic chunks, each worker writes its chunk to
-a part file with a completion sentinel, and the parts are merged in chunk
-order at the end; part files named for a different chunk fingerprint are
-ignored, so stale scratch cannot corrupt a scan.
+modulus and canonical mask.  The class sequence is cut into chunks of at
+most CHUNK classes; each chunk is decided in-process or on a worker pool,
+and the parent appends the chunks' records in sequence order, flushing after
+each, so the file always holds a prefix of the full record stream.  A crash
+loses only the chunks in flight: the one being decided in-process, or at
+most AHEAD per worker on a pool (plus at most one partial line).
+Resuming truncates a partially written or damaged trailing line, re-derives
+the class sequence, drops the classes already on disk and appends the rest,
+so an interrupted-and-resumed scan converges to the same bytes as an
+uninterrupted one, whatever the worker count.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+from array import array
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from . import __version__
 from .certificates import Certificate, candidate_certificate
 from .fastscan import (
     MAX_SCAN_N,
@@ -55,6 +58,9 @@ __all__ = [
 ]
 
 SAMPLE_BATCH = 1 << 17  # fixed so the sampled class sequence depends only on seed
+ENUM_BATCH = 1 << 17  # mask range per canonical_filter call (memory only, never output)
+CHUNK = 1 << 12  # most classes decided per job, in-process or on a worker
+AHEAD = 4  # chunks submitted unread per pool worker
 
 
 @dataclass(frozen=True)
@@ -66,9 +72,7 @@ class ScanConfig:
     budget: int = 10**6  # node budget per search per class
     out: str | None = None
     workers: int = 1
-    chunk_size: int = 1 << 14  # classes per worker chunk
     class_ceiling: int = 500_000  # exhaustive refuses above this many classes
-    batch: int = 1 << 17  # enumeration batch (memory knob, never affects output)
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ def scan_class_count(n: int) -> int:
 # -- class sequences -------------------------------------------------------
 
 
-def _exhaustive_classes(n: int, batch: int):
+def _exhaustive_classes(n: int):
     """Ascending canonical masks with 0 in the set and size in [2, n-1].
 
     Only odd masks from 3 up to 2^(n-1) are generated: a canonical set holds
@@ -182,8 +186,8 @@ def _exhaustive_classes(n: int, batch: int):
     """
     t = modulus_tables(n)
     half = 1 << (n - 1)
-    for start in range(0, half, batch):
-        stop = min(start + batch, half)
+    for start in range(0, half, ENUM_BATCH):
+        stop = min(start + ENUM_BATCH, half)
         masks = np.arange(max(start | 1, 3), stop, 2, dtype=np.uint64)
         keep = canonical_filter(masks, t)
         if keep.any():
@@ -293,37 +297,47 @@ class _Tally:
             self.counterexamples.append(rec.key)
             self.certificates.append(rec.certificate)
 
+    def merge(self, other: "_Tally") -> None:
+        """Add another tally's counts; its keys and certificates go after ours."""
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
+
 
 # -- persistence -----------------------------------------------------------
 
 
-def _load_existing(path: str) -> tuple[set[str], list[ScanRecord]]:
-    """Keys and records already on disk, truncating a partial trailing line."""
+def _load_existing(path: str, n: int, tally: _Tally) -> np.ndarray:
+    """Tally the records on disk and return the masks already done for Z_n.
+
+    The file is read one line at a time.  A partially written trailing line,
+    or a damaged last line, is truncated so the scan rewrites it; a damaged
+    line before the last is an error.  The masks come back sorted.
+    """
     if not os.path.exists(path):
-        return set(), []
-    with open(path, "rb") as fh:
-        data = fh.read()
-    keep = len(data)
-    if data and not data.endswith(b"\n"):
-        keep = data.rfind(b"\n") + 1
-    records: list[ScanRecord] = []
-    keys: set[str] = set()
-    offset = 0
-    for raw in data[:keep].splitlines(keepends=True):
-        try:
-            rec = ScanRecord.from_payload(json.loads(raw))
-        except (json.JSONDecodeError, KeyError, TypeError):
-            if offset + len(raw) == keep:
-                keep = offset  # damaged tail, rewrite from here
+        return np.zeros(0, dtype=np.uint64)
+    masks = array("Q")
+    prefix = f"{n}:"
+    keep = None
+    with open(path, "r+b") as fh:
+        offset = 0
+        for raw in fh:
+            rec = None
+            if raw.endswith(b"\n"):
+                try:
+                    rec = ScanRecord.from_payload(json.loads(raw))
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    if fh.readline().endswith(b"\n"):
+                        raise ValueError(f"corrupt scan record in {path!r}") from None
+            if rec is None:
+                keep = offset  # partial or damaged tail, rewrite from here
                 break
-            raise ValueError(f"corrupt scan record in {path!r}") from None
-        records.append(rec)
-        keys.add(rec.key)
-        offset += len(raw)
-    if keep < len(data):
-        with open(path, "r+b") as fh:
+            tally.add(rec)
+            if rec.key.startswith(prefix):
+                masks.append(int(rec.key[len(prefix) :], 16))
+            offset += len(raw)
+        if keep is not None:
             fh.truncate(keep)
-    return keys, records
+    return np.sort(np.frombuffer(masks, dtype=np.uint64))
 
 
 def read_records(path: str) -> list[ScanRecord]:
@@ -336,61 +350,48 @@ def read_records(path: str) -> list[ScanRecord]:
     return out
 
 
-# -- worker chunks ---------------------------------------------------------
+# -- chunk jobs ------------------------------------------------------------
 
 
-def _chunk_id(n: int, budget: int, cert_seed, chunk: np.ndarray) -> str:
-    h = hashlib.sha1()
-    h.update(f"{__version__}|{n}|{budget}|{cert_seed}|".encode())
-    h.update(chunk.tobytes())
-    return h.hexdigest()[:12]
+def _chunks(batches, done: np.ndarray):
+    """The class sequence minus the masks in done (sorted), in chunks of <= CHUNK.
+
+    A chunk never spans two batches, so at most one batch is held at a time.
+    """
+    for masks in batches:
+        if len(done):
+            # np.isin would sort all of done again for every batch
+            pos = np.searchsorted(done, masks).clip(max=len(done) - 1)
+            masks = masks[done[pos] != masks]
+        for i in range(0, len(masks), CHUNK):
+            yield masks[i : i + CHUNK]
 
 
-def _part_path(out: str, index: int, chunk_id: str) -> str:
-    return f"{out}.part-{index:05d}-{chunk_id}"
+def _chunk_worker(args) -> tuple[_Tally, str]:
+    """Decide one chunk: its tally and, when serialize is set, its record lines."""
+    n, budget, cert_seed, masks, serialize = args
+    tally = _Tally()
+    lines = []
+    for rec in _records_for(n, masks, budget, cert_seed):
+        tally.add(rec)
+        if serialize:
+            lines.append(rec.to_json() + "\n")
+    return tally, "".join(lines)
 
 
-def _write_part(path: str, chunk_id: str, records: list[ScanRecord]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
-        fh.write(
-            json.dumps(
-                {"part_done": chunk_id, "records": len(records)},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-    os.replace(tmp, path)
+def _pool_map(pool: ProcessPoolExecutor, jobs, ahead: int):
+    """Chunk results in job order, with at most `ahead` jobs submitted unread.
 
-
-def _read_part(path: str, chunk_id: str) -> list[ScanRecord] | None:
-    """Records of a completed part file, or None if absent or incomplete."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            return None
-        sentinel = json.loads(lines[-1])
-        if sentinel.get("part_done") != chunk_id:
-            return None
-        if sentinel.get("records") != len(lines) - 1:
-            return None
-        return [ScanRecord.from_payload(json.loads(ln)) for ln in lines[:-1]]
-    except (json.JSONDecodeError, KeyError, TypeError, OSError):
-        return None
-
-
-def _chunk_worker(args) -> str:
-    n, budget, cert_seed, chunk_bytes, path, chunk_id = args
-    chunk = np.frombuffer(chunk_bytes, dtype=np.uint64)
-    if _read_part(path, chunk_id) is None:
-        _write_part(path, chunk_id, _records_for(n, chunk, budget, cert_seed))
-    return path
+    Executor.map would consume every job before the first result came back,
+    holding the whole class sequence and every finished chunk in memory.
+    """
+    pending: deque = deque()
+    for job in jobs:
+        pending.append(pool.submit(_chunk_worker, job))
+        if len(pending) >= ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 # -- the scan --------------------------------------------------------------
@@ -414,8 +415,6 @@ def fuglede_scan(config: ScanConfig) -> ScanReport:
             f"sample_count {config.sample_count} exceeds the "
             f"{scan_class_count(n)} classes of Z_{n}"
         )
-    if config.workers > 1 and config.out is None:
-        raise ValueError("parallel scans need an output path for part files")
 
     expected: int | None = None
     if config.mode == "exhaustive":
@@ -429,79 +428,32 @@ def fuglede_scan(config: ScanConfig) -> ScanReport:
 
     cert_seed = config.seed if config.mode == "sample" else None
     tally = _Tally()
-    done_keys: set[str] = set()
-    out_fh = None
+    done = np.zeros(0, dtype=np.uint64)
     if config.out is not None:
-        done_keys, old_records = _load_existing(config.out)
-        for rec in old_records:
-            tally.add(rec)
-        out_fh = open(config.out, "a", encoding="utf-8")
-
+        done = _load_existing(config.out, n, tally)
     if config.mode == "exhaustive":
-        batches = _exhaustive_classes(n, config.batch)
+        batches = _exhaustive_classes(n)
     else:
-        all_masks = _sample_classes(n, config.sample_count, config.seed)
-        batches = (
-            all_masks[i : i + config.batch]
-            for i in range(0, len(all_masks), config.batch)
-        )
+        batches = [_sample_classes(n, config.sample_count, config.seed)]
+    jobs = (
+        (n, config.budget, cert_seed, chunk, config.out is not None)
+        for chunk in _chunks(batches, done)
+    )
 
-    try:
+    with ExitStack() as stack:
+        out_fh = None
+        if config.out is not None:
+            out_fh = stack.enter_context(open(config.out, "a", encoding="utf-8"))
         if config.workers <= 1:
-            for masks in batches:
-                if done_keys:
-                    fresh = np.array(
-                        [m for m in masks.tolist() if f"{n}:{m:x}" not in done_keys],
-                        dtype=np.uint64,
-                    )
-                else:
-                    fresh = masks
-                if not len(fresh):
-                    continue
-                for rec in _records_for(n, fresh, config.budget, cert_seed):
-                    tally.add(rec)
-                    if out_fh is not None:
-                        out_fh.write(rec.to_json() + "\n")
-                if out_fh is not None:
-                    out_fh.flush()
+            results = map(_chunk_worker, jobs)
         else:
-            remaining = [
-                m
-                for masks in batches
-                for m in masks.tolist()
-                if f"{n}:{m:x}" not in done_keys
-            ]
-            chunks = [
-                np.array(remaining[i : i + config.chunk_size], dtype=np.uint64)
-                for i in range(0, len(remaining), config.chunk_size)
-            ]
-            jobs = []
-            for i, chunk in enumerate(chunks):
-                cid = _chunk_id(n, config.budget, cert_seed, chunk)
-                jobs.append(
-                    (n, config.budget, cert_seed, chunk.tobytes(),
-                     _part_path(config.out, i, cid), cid)
-                )
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                list(pool.map(_chunk_worker, jobs))
-            for (_, _, _, _, path, cid) in jobs:
-                records = _read_part(path, cid)
-                if records is None:
-                    raise RuntimeError(f"worker part {path!r} missing or invalid")
-                for rec in records:
-                    tally.add(rec)
-                    out_fh.write(rec.to_json() + "\n")
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            results = _pool_map(pool, jobs, AHEAD * config.workers)
+        for part, text in results:
+            tally.merge(part)
+            if out_fh is not None:
+                out_fh.write(text)
                 out_fh.flush()
-            for (_, _, _, _, path, _) in jobs:
-                os.remove(path)
-            prefix = os.path.basename(config.out) + ".part-"
-            out_dir = os.path.dirname(os.path.abspath(config.out))
-            for name in os.listdir(out_dir):
-                if name.startswith(prefix):
-                    os.remove(os.path.join(out_dir, name))
-    finally:
-        if out_fh is not None:
-            out_fh.close()
 
     if expected is not None and tally.classes != expected:
         raise AssertionError(

@@ -25,9 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from sympy import factorint
-
-from .cyclotomic import cyclotomic
+from .cyclotomic import cyclotomic, factorize
 from .groupring import GroupRingElement, is_char_zero, subset, zero_set
 from .pnqr import PnqrModulus, divisor_profile
 from .spectral import BudgetExhausted, SearchResult, is_spectral_pair
@@ -165,7 +163,7 @@ class PrimePowerSpectrumData:
 
 
 def _prime_of(s: int) -> int:
-    return next(iter(factorint(s)))
+    return next(iter(factorize(s)))
 
 
 def t1_t2_check(a: GroupRingElement) -> PrimePowerSpectrumData:
@@ -175,7 +173,7 @@ def t1_t2_check(a: GroupRingElement) -> PrimePowerSpectrumData:
     s_a = frozenset(
         s
         for s in a.modulus.divisors()
-        if s > 1 and len(factorint(s)) == 1 and is_char_zero(a, n // s)
+        if s > 1 and len(factorize(s)) == 1 and is_char_zero(a, n // s)
     )
     prod = 1
     for s in s_a:

@@ -3,8 +3,8 @@
 One test per criterion, each printing a single PASS/FAIL line (run with -s
 to see them on success).  Every scan is recomputed from scratch, including
 the full pass over all 4,500,264 classes of Z_30, so this module takes a
-few minutes on one core.  scripts/scan_n30_exhaustive.py runs the same
-Z_30 scan standalone with a persistent record file.
+few minutes on one core.  `spectile scan --n 30 --ceiling 4500264 --out F`
+runs the same Z_30 scan standalone with a persistent record file.
 """
 
 from __future__ import annotations

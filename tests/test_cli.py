@@ -40,6 +40,10 @@ def test_zeros_multiset(capsys):
     assert run_cli("zeros", "--n", "6", "--set", "0:2,3:2") == 0
     out = capsys.readouterr().out
     assert "zero set: 1,3,5" in out
+    # grid cells keep their multiplicities, as in the literal line
+    assert run_cli("zeros", "--set", "N=30; S=0:2,1,7:-1", "--grid") == 0
+    out = capsys.readouterr().out
+    assert out.endswith("(0,0): 0:2\n(1,1): 1\n(1,2): 1:-1\n")
 
 
 def test_zeros_grid_needs_three_primes():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -10,12 +12,46 @@ from hypothesis import strategies as st
 from spectile.cyclotomic import (
     CyclotomicInteger,
     cyclotomic,
+    divisors,
     euler_phi,
+    factorize,
+    is_prime,
     prime_power_vanishing,
     reduce_mod_cyclotomic,
 )
 
 from helpers import is_char_zero_numeric
+
+
+# -- integer helpers -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "numbers", [range(1, 5001), [2**31 - 1, 2**31 - 2, 46337**2]], ids=["small", "large"]
+)
+def test_integer_helpers_match_sympy(numbers):
+    for n in numbers:
+        assert factorize(n) == sympy.factorint(n)
+        assert list(factorize(n)) == sorted(factorize(n))
+        assert divisors(n) == sympy.divisors(n)
+        assert is_prime(n) == sympy.isprime(n)
+        assert euler_phi(n) == sympy.totient(n)
+    assert not any(is_prime(n) for n in (-7, 0, 1))
+
+
+def test_integer_helpers_reject_out_of_range():
+    for n in (0, -5, 2**31):
+        with pytest.raises(ValueError, match="2\\^31"):
+            factorize(n)
+
+
+def test_import_leaves_sympy_out():
+    code = "import sys, spectile, spectile.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # -- polynomials -----------------------------------------------------------

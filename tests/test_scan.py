@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from spectile import scan
+from spectile.certificates import pair_certificate
 from spectile.groupring import subset
 from spectile.scan import (
     ScanConfig,
@@ -190,32 +192,57 @@ def test_different_seeds_sample_different_classes(tmp_path):
     assert r1.classes == 50
 
 
-def test_parallel_scan_matches_serial(tmp_path):
+def test_parallel_scan_matches_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "CHUNK", 128)
+    monkeypatch.setattr(scan, "AHEAD", 1)  # 6 chunks through a window of 2
     serial = str(tmp_path / "serial.jsonl")
     parallel = str(tmp_path / "parallel.jsonl")
-    fuglede_scan(ScanConfig(n=16, out=serial))
-    stale = parallel + ".part-99999-deadbeefdead"
-    with open(stale, "w") as fh:
-        fh.write("stale scratch\n")
-    fuglede_scan(ScanConfig(n=16, out=parallel, workers=2, chunk_size=128))
+    r_serial = fuglede_scan(ScanConfig(n=16, out=serial))
+    r_parallel = fuglede_scan(ScanConfig(n=16, out=parallel, workers=2))
     assert open(parallel, "rb").read() == open(serial, "rb").read()
-    leftovers = [
-        name
-        for name in os.listdir(tmp_path)
-        if name.startswith("parallel.jsonl.part-")
-    ]
-    assert leftovers == []
+    assert r_parallel == r_serial
+    # records go straight into the output file: no scratch files beside it
+    assert sorted(os.listdir(tmp_path)) == ["parallel.jsonl", "serial.jsonl"]
 
 
-def test_parallel_resume(tmp_path):
+def test_parallel_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "CHUNK", 128)
     full = str(tmp_path / "full.jsonl")
-    fuglede_scan(ScanConfig(n=16, out=full))
+    r_full = fuglede_scan(ScanConfig(n=16, out=full))
     reference = open(full, "rb").read()
     part = str(tmp_path / "resume.jsonl")
     with open(part, "wb") as fh:
         fh.write(reference[: len(reference) // 2])
-    fuglede_scan(ScanConfig(n=16, out=part, workers=2, chunk_size=128))
+    r_part = fuglede_scan(ScanConfig(n=16, out=part, workers=2))
     assert open(part, "rb").read() == reference
+    assert r_part == r_full
+
+
+def test_serial_resume_cut_inside_a_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "CHUNK", 100)
+    full = str(tmp_path / "full.jsonl")
+    r_full = fuglede_scan(ScanConfig(n=16, out=full))
+    reference = open(full, "rb").read()
+    # end the cut 250 records in, half way through the third chunk, mid-line
+    cut = sum(len(ln) for ln in reference.splitlines(keepends=True)[:250]) + 20
+    part = str(tmp_path / "part.jsonl")
+    with open(part, "wb") as fh:
+        fh.write(reference[:cut])
+    assert fuglede_scan(ScanConfig(n=16, out=part)) == r_full
+    assert open(part, "rb").read() == reference
+
+
+def test_tally_merge_appends_flagged_classes_in_order():
+    # no scanned modulus has a counterexample, so flag records by hand
+    cert = pair_certificate("tiling_pair", subset(9, [0, 3, 6]), subset(9, [0, 1, 2]))
+    total = scan._Tally()
+    for key in ("9:49", "9:7"):
+        part = scan._Tally()
+        part.add(ScanRecord(9, key, (0, 3, 6), 3, "no", "yes", 1, 1, cert))
+        total.merge(part)
+    assert (total.classes, total.tiles, total.tile_only) == (2, 2, 2)
+    assert total.counterexamples == ["9:49", "9:7"]
+    assert total.certificates == [cert, cert]
 
 
 def test_config_validation(tmp_path):
@@ -229,8 +256,8 @@ def test_config_validation(tmp_path):
         fuglede_scan(ScanConfig(n=8, mode="sample"))
     with pytest.raises(ValueError, match="exceeds the 21 classes"):
         fuglede_scan(ScanConfig(n=8, mode="sample", sample_count=22))
-    with pytest.raises(ValueError, match="output path"):
-        fuglede_scan(ScanConfig(n=8, workers=2))
+    # a pool needs no output file: the records come back to the parent
+    assert fuglede_scan(ScanConfig(n=12, workers=2)) == fuglede_scan(ScanConfig(n=12))
     with pytest.raises(ValueError, match="ceiling"):
         fuglede_scan(ScanConfig(n=30))
 
