@@ -53,7 +53,10 @@ def _resolve_set(parser: _Parser, n: int | None, literal: str) -> GroupRingEleme
 
 def _cmd_zeros(parser, args):
     x = _resolve_set(parser, args.n, args.set)
-    zs = zero_set(x)
+    try:
+        zs = zero_set(x)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(format_set_literal(x))
     print(f"zero set: {','.join(map(str, sorted(zs.members)))}")
     print(f"divisor classes: {','.join(map(str, sorted(zs.divisor_classes)))}")

@@ -2,7 +2,7 @@
 
 Subsets of Z_n (n <= 60) travel as uint64 bit masks in numpy arrays, so the
 per-class overhead of a scan is a handful of elementwise passes instead of a
-Python loop.  Three families of kernels live here:
+Python loop.  Two families of kernels live here:
 
 * canonicalization: the affine-orbit representative of every mask in a batch,
   bit-for-bit identical to canonical_form, via per-unit permutation tables
@@ -13,12 +13,7 @@ Python loop.  Three families of kernels live here:
   larger rotation, then a larger image under each further unit in turn;
 * zero-set classes: which divisor classes vanish for every mask in a batch,
   via per-class fold masks (popcounts of congruence strata) and small integer
-  reduction matrices mod the relevant cyclotomic polynomial;
-* verdicts: spectrum and tiling-complement status per canonical class, with
-  the searches' own entry rejections applied vectorized first so the Python
-  searches only ever run on masks that get past them.  The rejections mirror
-  the search internals exactly, so a batch verdict equals the API verdict,
-  node counts included.
+  reduction matrices mod the relevant cyclotomic polynomial.
 """
 
 from __future__ import annotations
@@ -30,9 +25,7 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import euler_phi, reduce_mod_cyclotomic
-from .groupring import Modulus, ZeroSet, subset
-from .spectral import spectrum_search
-from .tiling import complement_search
+from .groupring import Modulus, ZeroSet
 
 __all__ = [
     "MAX_SCAN_N",
@@ -44,8 +37,6 @@ __all__ = [
     "canonical_filter",
     "zero_class_matrix",
     "zero_set_from_bits",
-    "batch_verdicts",
-    "BatchVerdict",
 ]
 
 MAX_SCAN_N = 60
@@ -258,61 +249,3 @@ def zero_set_from_bits(bits: np.ndarray, t: ModulusTables) -> ZeroSet:
             members.update(t.class_members[e])
     return ZeroSet(t.modulus, frozenset(members), frozenset(classes))
 
-
-@dataclass(frozen=True)
-class BatchVerdict:
-    """Per-class scan outcome: both searches' status and node counts."""
-
-    mask: int
-    size: int
-    has_spectrum: str  # yes | no | inconclusive
-    tiles: str
-    spectrum_nodes: int
-    tile_nodes: int
-    spectrum_witness: tuple[int, ...] | None
-    tile_witness: tuple[int, ...] | None
-
-
-_STATUS = {"found": "yes", "none": "no", "exhausted": "inconclusive"}
-
-
-def batch_verdicts(
-    masks: np.ndarray, t: ModulusTables, budget: int
-) -> list[BatchVerdict]:
-    """Run both searches over a batch of canonical masks.
-
-    The two entry rejections (zero set too small to host a spectrum-sized
-    clique; set size not dividing n) are evaluated for the whole batch first;
-    they mirror the searches' own first checks, so skipping the call changes
-    nothing, node counts included.
-    """
-    n = t.n
-    pc = np.bitwise_count(masks).astype(np.int64)
-    zbits, zsize = zero_class_matrix(masks, t)
-    need_spec = zsize >= pc - 1
-    need_tile = (n % pc) == 0
-    out = []
-    for i, m in enumerate(masks):
-        m = int(m)
-        s = int(pc[i])
-        if need_spec[i]:
-            a = subset(t.modulus, [g for g in range(n) if (m >> g) & 1])
-            zs = zero_set_from_bits(zbits[:, i], t)
-            res = spectrum_search(a, budget=budget, zeros=zs)
-            spec, snodes = _STATUS[res.status], res.nodes
-            switness = res.witness.support if res.witness is not None else None
-        else:
-            a = None
-            spec, snodes, switness = "no", 0, None
-        if need_tile[i]:
-            if a is None:
-                a = subset(t.modulus, [g for g in range(n) if (m >> g) & 1])
-            res = complement_search(a, budget=budget)
-            tile, tnodes = _STATUS[res.status], res.nodes
-            twitness = res.witness.support if res.witness is not None else None
-        else:
-            tile, tnodes, twitness = "no", 0, None
-        out.append(
-            BatchVerdict(m, s, spec, tile, snodes, tnodes, switness, twitness)
-        )
-    return out

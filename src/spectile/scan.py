@@ -10,6 +10,11 @@ Given the same (n, mode, seed, budget, sample count) a scan is a pure
 function: the record stream, the report, and the bytes of the output file
 are all identical run to run.
 
+The vectorized kernels in fastscan enumerate and canonicalize the masks and
+reject whole batches at the searches' entry checks; the one per-class loop,
+which runs the searches and builds each ScanRecord, and the record's line
+format both live here.
+
 Persistence is an append-only file of one JSON record per line, keyed by
 modulus and canonical mask.  The class sequence is cut into chunks of at
 most CHUNK classes; each chunk is decided in-process or on a worker pool,
@@ -40,12 +45,15 @@ import numpy as np
 from .certificates import Certificate, candidate_certificate
 from .fastscan import (
     MAX_SCAN_N,
-    batch_verdicts,
     canonical_filter,
     canonicalize_batch,
     modulus_tables,
+    zero_class_matrix,
+    zero_set_from_bits,
 )
 from .groupring import subset
+from .spectral import SearchResult, spectrum_search
+from .tiling import complement_search
 
 __all__ = [
     "ScanConfig",
@@ -87,23 +95,20 @@ class ScanRecord:
     tile_nodes: int
     certificate: Certificate | None = None
 
-    def payload(self) -> dict:
-        out = {
-            "key": self.key,
-            "n": self.n,
-            "set": list(self.members),
-            "size": self.size,
-            "has_spectrum": self.has_spectrum,
-            "tiles": self.tiles,
-            "spectrum_nodes": self.spectrum_nodes,
-            "tile_nodes": self.tile_nodes,
-        }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.payload()
-        return out
-
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
+        """The record line, as compact json.dumps(sort_keys=True) writes it.
+
+        The keys are spelled out in sorted order.  The strings are hex keys
+        and fixed ASCII verdict words, so none needs escaping.
+        """
+        cert = self.certificate
+        head = "{" if cert is None else '{"certificate":' + cert.to_json() + ","
+        return (
+            f'{head}"has_spectrum":"{self.has_spectrum}","key":"{self.key}",'
+            f'"n":{self.n},"set":[{",".join(map(str, self.members))}],'
+            f'"size":{self.size},"spectrum_nodes":{self.spectrum_nodes},'
+            f'"tile_nodes":{self.tile_nodes},"tiles":"{self.tiles}"}}'
+        )
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ScanRecord":
@@ -223,37 +228,53 @@ def _sample_classes(n: int, count: int, seed: int) -> np.ndarray:
 # -- record production -----------------------------------------------------
 
 
+_STATUS = {"found": "yes", "none": "no", "exhausted": "inconclusive"}
+_SKIPPED = SearchResult("none", None, 0)
+
+
 def _records_for(n: int, masks: np.ndarray, budget: int, cert_seed) -> list[ScanRecord]:
+    """Decide a chunk of canonical masks: both searches, one record per class.
+
+    The two entry rejections (zero set too small to host a spectrum-sized
+    clique; set size not dividing n) are evaluated for the whole chunk first;
+    they mirror the searches' own first checks, so skipping the call changes
+    nothing, node counts included.
+    """
     t = modulus_tables(n)
+    pc = np.bitwise_count(masks).astype(np.int64)
+    zbits, zsize = zero_class_matrix(masks, t)
+    need_spec = (zsize >= pc - 1).tolist()
+    need_tile = (n % pc == 0).tolist()
     out = []
-    for v in batch_verdicts(masks, t, budget):
+    for i, m in enumerate(masks.tolist()):
+        members = tuple(g for g in range(n) if (m >> g) & 1)
+        spec = tile = _SKIPPED
+        if need_spec[i] or need_tile[i]:
+            a = subset(t.modulus, members)
+            if need_spec[i]:
+                zs = zero_set_from_bits(zbits[:, i], t)
+                spec = spectrum_search(a, budget=budget, zeros=zs)
+            if need_tile[i]:
+                tile = complement_search(a, budget=budget)
         cert = None
-        if v.has_spectrum == "yes" and v.tiles == "no":
-            a = subset(n, [g for g in range(n) if (v.mask >> g) & 1])
+        if spec.status == "found" and tile.status == "none":
             cert = candidate_certificate(
-                "non_tile_spectral_candidate",
-                a,
-                subset(n, v.spectrum_witness),
-                seed=cert_seed,
+                "non_tile_spectral_candidate", a, spec.witness, seed=cert_seed
             )
-        elif v.tiles == "yes" and v.has_spectrum == "no":
-            a = subset(n, [g for g in range(n) if (v.mask >> g) & 1])
+        elif tile.status == "found" and spec.status == "none":
             cert = candidate_certificate(
-                "non_spectral_tile_candidate",
-                a,
-                subset(n, v.tile_witness),
-                seed=cert_seed,
+                "non_spectral_tile_candidate", a, tile.witness, seed=cert_seed
             )
         out.append(
             ScanRecord(
                 n=n,
-                key=f"{n}:{v.mask:x}",
-                members=tuple(g for g in range(n) if (v.mask >> g) & 1),
-                size=v.size,
-                has_spectrum=v.has_spectrum,
-                tiles=v.tiles,
-                spectrum_nodes=v.spectrum_nodes,
-                tile_nodes=v.tile_nodes,
+                key=f"{n}:{m:x}",
+                members=members,
+                size=len(members),
+                has_spectrum=_STATUS[spec.status],
+                tiles=_STATUS[tile.status],
+                spectrum_nodes=spec.nodes,
+                tile_nodes=tile.nodes,
                 certificate=cert,
             )
         )

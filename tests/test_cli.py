@@ -55,6 +55,11 @@ def test_set_literal_usage_errors(capsys):
     assert run_cli("zeros", "--n", "8", "--set", "N=12; S=0,6") == 3  # disagree
     assert run_cli("zeros", "--n", "12", "--set", "0,0,6") == 3  # duplicate
     assert run_cli("zeros", "--n", "12", "--set", "0,,6") == 3  # malformed
+    # the empty set parses, but every character vanishes on it: no zero set
+    for argv in (("--n", "30", "--set", ""), ("--set", "N=30; S=")):
+        capsys.readouterr()
+        assert run_cli("zeros", *argv) == 3
+        assert "zero element has no zero set" in capsys.readouterr().err
 
 
 def test_spectrum_exit_codes(capsys):

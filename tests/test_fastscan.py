@@ -1,7 +1,7 @@
 """The vectorized batch kernels against the pure per-set routines.
 
-Every kernel must agree with its scalar counterpart exactly, including node
-counts, because the scan records double as a reference dataset.
+Every kernel must agree with its scalar counterpart exactly, because the scan
+records double as a reference dataset.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import pytest
 from spectile.fastscan import (
     MAX_SCAN_N,
     _run_survivors,
-    batch_verdicts,
     canonical_filter,
     canonicalize_batch,
     modulus_tables,
@@ -20,10 +19,7 @@ from spectile.fastscan import (
     zero_set_from_bits,
 )
 from spectile.groupring import Modulus, subset, zero_set
-from spectile.spectral import canonical_form, spectrum_search
-from spectile.tiling import complement_search
-
-_STATUS = {"found": "yes", "none": "no", "exhausted": "inconclusive"}
+from spectile.spectral import canonical_form
 
 
 def members_of(mask: int, n: int) -> tuple[int, ...]:
@@ -144,49 +140,6 @@ def test_zero_class_matrix_matches_zero_set(n):
         for j, e in enumerate(t.divisors):
             assert bool(zbits[j, i]) == (e in zs.divisor_classes)
         assert zero_set_from_bits(zbits[:, i], t) == zs
-
-
-def canonical_sample(n: int, count: int, seed: int) -> np.ndarray:
-    """Distinct canonical masks with sizes in [2, n-1]."""
-    t = modulus_tables(n)
-    raw = random_masks(n, 4000, seed)
-    cm = np.unique(canonicalize_batch(raw, t))
-    pc = np.bitwise_count(cm)
-    return cm[(pc >= 2) & (pc <= n - 1)][:count]
-
-
-@pytest.mark.parametrize("n", [12, 18, 30])
-def test_batch_verdicts_match_searches(n):
-    t = modulus_tables(n)
-    budget = 10**6
-    cm = canonical_sample(n, 100, seed=5)
-    for v in batch_verdicts(cm, t, budget):
-        a = subset(n, members_of(v.mask, n))
-        rs = spectrum_search(a, budget=budget)
-        rt = complement_search(a, budget=budget)
-        assert v.size == len(a.support)
-        assert v.has_spectrum == _STATUS[rs.status]
-        assert v.tiles == _STATUS[rt.status]
-        assert v.spectrum_nodes == rs.nodes
-        assert v.tile_nodes == rt.nodes
-        if v.has_spectrum == "yes":
-            assert tuple(v.spectrum_witness) == rs.witness.support
-        if v.tiles == "yes":
-            assert tuple(v.tile_witness) == rt.witness.support
-
-
-def test_batch_verdicts_respect_budget():
-    n = 24
-    t = modulus_tables(n)
-    cm = canonical_sample(n, 60, seed=11)
-    for v in batch_verdicts(cm, t, budget=2):
-        a = subset(n, members_of(v.mask, n))
-        rs = spectrum_search(a, budget=2)
-        rt = complement_search(a, budget=2)
-        assert v.has_spectrum == _STATUS[rs.status]
-        assert v.tiles == _STATUS[rt.status]
-        assert v.spectrum_nodes == rs.nodes
-        assert v.tile_nodes == rt.nodes
 
 
 def test_max_scan_modulus_has_tables():

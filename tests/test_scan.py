@@ -1,14 +1,17 @@
-"""Scan counting, determinism, persistence, resume, and parallel merge."""
+"""Scan counting, records, certificates, persistence, resume, parallel merge."""
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spectile import scan
-from spectile.certificates import pair_certificate
+from spectile.certificates import pair_certificate, replay
+from spectile.fastscan import canonicalize_batch, modulus_tables
 from spectile.groupring import subset
 from spectile.scan import (
     ScanConfig,
@@ -18,9 +21,12 @@ from spectile.scan import (
     read_records,
     scan_class_count,
 )
-from spectile.spectral import canonical_form
+from spectile.spectral import SearchResult, canonical_form, spectrum_search
+from spectile.tiling import complement_search
 
 from helpers import affine_orbit_masks
+
+_STATUS = {"found": "yes", "none": "no", "exhausted": "inconclusive"}
 
 
 def orbit_count_by_enumeration(n: int) -> int:
@@ -90,13 +96,97 @@ def test_record_stream_shape(tmp_path):
         assert rec.tiles in ("yes", "no", "inconclusive")
 
 
-def test_record_json_round_trip(tmp_path):
-    out = str(tmp_path / "n8.jsonl")
-    fuglede_scan(ScanConfig(n=8, out=out))
+def flagging_scan(monkeypatch, patched: str, out: str):
+    """Scan Z_8 to out with one search patched to answer "none" every time.
+
+    No scanned modulus has a counterexample, so this is how the scan's
+    certificate path gets exercised: every class the other search settles
+    with "yes" is flagged.
+    """
+    with monkeypatch.context() as mp:
+        mp.setattr(scan, patched, lambda *args, **kwargs: SearchResult("none", None, 0))
+        return fuglede_scan(ScanConfig(n=8, out=out))
+
+
+def test_record_json_round_trip(tmp_path, monkeypatch):
+    configs = {
+        "n8": ScanConfig(n=8),
+        "n12": ScanConfig(n=12),
+        "n12-budget1": ScanConfig(n=12, budget=1),
+        "n30-sample": ScanConfig(n=30, mode="sample", sample_count=2000, seed=0),
+    }
+    for name, config in configs.items():
+        fuglede_scan(replace(config, out=str(tmp_path / name)))
+    flagging_scan(monkeypatch, "complement_search", str(tmp_path / "flagged"))
+    texts = {}
+    for name in [*configs, "flagged"]:
+        with open(tmp_path / name, encoding="utf-8") as fh:
+            texts[name] = fh.read()
+        for line in texts[name].splitlines(keepends=True):
+            payload = json.loads(line)
+            assert line == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            assert ScanRecord.from_payload(payload).to_json() + "\n" == line
+    assert '"inconclusive"' in texts["n12-budget1"]
+    assert '"certificate"' in texts["flagged"]
+
+
+@pytest.mark.parametrize(
+    "patched, kind, search, verdict",
+    [
+        ("complement_search", "non_tile_spectral_candidate", spectrum_search, "has_spectrum"),
+        ("spectrum_search", "non_spectral_tile_candidate", complement_search, "tiles"),
+    ],
+    ids=["spectral-only", "tile-only"],
+)
+def test_scan_certifies_one_sided_classes(tmp_path, monkeypatch, patched, kind, search, verdict):
+    out = str(tmp_path / "flagged.jsonl")
+    report = flagging_scan(monkeypatch, patched, out)
+    records = read_records(out)
+    flagged = [rec for rec in records if getattr(rec, verdict) == "yes"]
+    assert len(flagged) == 6
+    assert all(rec.certificate is None for rec in records if rec not in flagged)
+    assert report.counterexamples == tuple(rec.key for rec in flagged)
+    assert report.certificates == tuple(rec.certificate for rec in flagged)
+    for rec in flagged:
+        cert = rec.certificate
+        assert (cert.kind, cert.n, cert.seed) == (kind, 8, None)
+        assert cert.primary_set == rec.members
+        assert cert.partner_set == search(subset(8, rec.members)).witness.support
+        assert replay(cert)
     with open(out, encoding="utf-8") as fh:
-        for line in fh:
-            rec = ScanRecord.from_payload(json.loads(line))
-            assert rec.to_json() == line.strip()
+        assert [rec.to_json() + "\n" for rec in records] == fh.readlines()
+
+
+def canonical_sample(n: int, count: int, seed: int) -> np.ndarray:
+    """Distinct canonical masks with sizes in [2, n-1]."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(1, 1 << n, size=4000, dtype=np.uint64)
+    cm = np.unique(canonicalize_batch(raw, modulus_tables(n)))
+    pc = np.bitwise_count(cm)
+    return cm[(pc >= 2) & (pc <= n - 1)][:count]
+
+
+def assert_records_match_searches(n: int, masks: np.ndarray, budget: int) -> None:
+    records = scan._records_for(n, masks, budget, None)
+    assert [rec.key for rec in records] == [f"{n}:{m:x}" for m in masks.tolist()]
+    for rec in records:
+        a = subset(n, rec.members)
+        rs = spectrum_search(a, budget=budget)
+        rt = complement_search(a, budget=budget)
+        assert rec.size == len(a.support)
+        assert rec.has_spectrum == _STATUS[rs.status]
+        assert rec.tiles == _STATUS[rt.status]
+        assert rec.spectrum_nodes == rs.nodes
+        assert rec.tile_nodes == rt.nodes
+
+
+@pytest.mark.parametrize("n", [12, 18, 30])
+def test_records_match_searches(n):
+    assert_records_match_searches(n, canonical_sample(n, 100, seed=5), 10**6)
+
+
+def test_records_respect_budget():
+    assert_records_match_searches(24, canonical_sample(24, 60, seed=11), 2)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -125,6 +125,18 @@ def test_complement_search_sampled_larger_moduli():
         assert res.found == (brute_tiles(a.support, n) is not None)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="the exact-cover fill recurses N/|A| deep (ROADMAP item 5)",
+)
+def test_complement_search_deep_cover_does_not_recurse():
+    # Z_1500 = {0} + {0, ..., 1499}: 1500 translates, one level each.
+    # When the search walks iteratively this passes; drop the marker then.
+    res = complement_search(subset(1500, [0]))
+    assert res.found and len(res.witness.support) == 1500
+
+
 # -- structural spectrum construction --------------------------------------
 
 
