@@ -9,7 +9,7 @@ the spectral-iff-tile equivalence.
 
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .cyclotomic import (
     CyclotomicInteger,

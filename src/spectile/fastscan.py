@@ -2,7 +2,7 @@
 
 Subsets of Z_n (n <= 60) travel as uint64 bit masks in numpy arrays, so the
 per-class overhead of a scan is a handful of elementwise passes instead of a
-Python loop.  Two families of kernels live here:
+Python loop.  Three families of kernels live here:
 
 * canonicalization: the affine-orbit representative of every mask in a batch,
   bit-for-bit identical to canonical_form, via per-unit permutation tables
@@ -13,7 +13,9 @@ Python loop.  Two families of kernels live here:
   larger rotation, then a larger image under each further unit in turn;
 * zero-set classes: which divisor classes vanish for every mask in a batch,
   via per-class fold masks (popcounts of congruence strata) and small integer
-  reduction matrices mod the relevant cyclotomic polynomial.
+  reduction matrices mod the relevant cyclotomic polynomial;
+* T1, read off those class bits: the batch mirror of the check with which
+  tiling.complement_search rejects non-tiles before its exact-cover walk.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclotomic import euler_phi, reduce_mod_cyclotomic
+from .cyclotomic import euler_phi, factorize, reduce_mod_cyclotomic
 from .groupring import Modulus, ZeroSet
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "canonicalize_batch",
     "canonical_filter",
     "zero_class_matrix",
+    "t1_filter",
     "zero_set_from_bits",
 ]
 
@@ -65,6 +68,7 @@ class ModulusTables:
     reductions: dict  # e -> (d, phi(d)) int64, x^i mod Phi_d by rows
     class_members: dict  # e -> tuple of g in [1,n) with gcd(g,n)=e
     class_sizes: np.ndarray  # aligned with divisors, = phi(n//e)
+    class_primes: np.ndarray  # aligned with divisors: p if n//e is a power of p, else 1
 
 
 def _perm_chunk_tables(n: int, targets: list[int]) -> tuple:
@@ -101,6 +105,7 @@ def modulus_tables(n: int) -> ModulusTables:
     reductions = {}
     class_members = {}
     sizes = []
+    primes = []
     for e in divisors:
         d = n // e
         fm = np.zeros(d, dtype=np.uint64)
@@ -115,6 +120,8 @@ def modulus_tables(n: int) -> ModulusTables:
         reductions[e] = rows
         class_members[e] = tuple(g for g in range(1, n) if gcd(g, n) == e)
         sizes.append(len(class_members[e]))
+        fd = factorize(d)
+        primes.append(next(iter(fd)) if len(fd) == 1 else 1)
     return ModulusTables(
         n=n,
         modulus=m,
@@ -128,6 +135,7 @@ def modulus_tables(n: int) -> ModulusTables:
         reductions=reductions,
         class_members=class_members,
         class_sizes=np.array(sizes, dtype=np.int64),
+        class_primes=np.array(primes, dtype=np.int64),
     )
 
 
@@ -237,6 +245,18 @@ def zero_class_matrix(masks: np.ndarray, t: ModulusTables) -> tuple:
         zbits[j] = hit
         zsize += hit * t.class_sizes[j]
     return zbits, zsize
+
+
+def t1_filter(zbits: np.ndarray, sizes: np.ndarray, t: ModulusTables) -> np.ndarray:
+    """Boolean mask of the batch entries that satisfy T1.
+
+    Class e vanishes exactly when the character at e does, so for s = n/e a
+    prime power, s is in S_A exactly when zbits marks class e.  T1 holds when
+    the set size equals the product of p(s) over S_A, which is the product
+    of class_primes over the vanishing classes.
+    """
+    prod = np.where(zbits, t.class_primes[:, None], 1).prod(axis=0)
+    return prod == sizes
 
 
 def zero_set_from_bits(bits: np.ndarray, t: ModulusTables) -> ZeroSet:

@@ -48,6 +48,7 @@ from .fastscan import (
     canonical_filter,
     canonicalize_batch,
     modulus_tables,
+    t1_filter,
     zero_class_matrix,
     zero_set_from_bits,
 )
@@ -235,16 +236,16 @@ _SKIPPED = SearchResult("none", None, 0)
 def _records_for(n: int, masks: np.ndarray, budget: int, cert_seed) -> list[ScanRecord]:
     """Decide a chunk of canonical masks: both searches, one record per class.
 
-    The two entry rejections (zero set too small to host a spectrum-sized
-    clique; set size not dividing n) are evaluated for the whole chunk first;
-    they mirror the searches' own first checks, so skipping the call changes
-    nothing, node counts included.
+    The three entry rejections (zero set too small to host a spectrum-sized
+    clique; set size not dividing n; T1 failing) are evaluated for the whole
+    chunk first; they mirror the searches' own first checks, so skipping the
+    call changes nothing, node counts included.
     """
     t = modulus_tables(n)
     pc = np.bitwise_count(masks).astype(np.int64)
     zbits, zsize = zero_class_matrix(masks, t)
     need_spec = (zsize >= pc - 1).tolist()
-    need_tile = (n % pc == 0).tolist()
+    need_tile = ((n % pc == 0) & t1_filter(zbits, pc, t)).tolist()
     out = []
     for i, m in enumerate(masks.tolist()):
         members = tuple(g for g in range(n) if (m >> g) & 1)

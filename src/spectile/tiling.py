@@ -7,6 +7,12 @@ together: the direct exact-cover count, the difference condition
 Z_A union Z_T = Z_N minus {0}.  Internal disagreement raises, so a silent
 regression in any one route cannot pass unnoticed.
 
+The complement search answers "none" without searching when |A| does not
+divide N or A fails T1, the size condition below: Coven and Meyerowitz
+showed that every tile of Z_N satisfies it.  Nearly every set whose size
+divides N is rejected there.  The rest go to an exact-cover walk, which is
+kept apart as the reference the entry checks are tested against.
+
 The structure side packages the two classical conditions on the prime power
 divisors s with Phi_s dividing the mask polynomial: the size condition
 (|A| equals the product of Phi_s(1)) and the product condition (Phi of any
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cyclotomic import cyclotomic, factorize
+from .cyclotomic import factorize
 from .groupring import GroupRingElement, is_char_zero, subset, zero_set
 from .pnqr import PnqrModulus, divisor_profile
 from .spectral import BudgetExhausted, SearchResult, is_spectral_pair
@@ -97,20 +103,31 @@ def complement_search(
 ) -> SearchResult:
     """Find a tiling complement T containing 0, or prove there is none.
 
-    Exact cover backtracking: always fill the least uncovered residue, trying
-    candidate translates in ascending order.  |A| must divide N or the answer
-    is immediately negative.  The found T is shifted so 0 is a member, which
-    is harmless because tiling complements are translation invariant, and the
-    result is verified before being returned.
+    Two entry checks answer "none" after 0 nodes: |A| does not divide N, or
+    A fails T1 (every tile satisfies T1, by Coven and Meyerowitz).  Whatever
+    passes both goes to the exact-cover walk, _cover_walk.  The found T is
+    shifted so 0 is a member, which is harmless because tiling complements
+    are translation invariant, and the result is verified before being
+    returned.
     """
     if not a.is_set:
         raise ValueError("complement search needs a set")
     budget = DEFAULT_BUDGET if budget is None else budget
-    n = a.n
     s = a.mass
-    if s == 0 or n % s:
+    if s == 0 or a.n % s or not _t1(a)[1]:
         return SearchResult("none", None, 0)
-    k = n // s
+    return _cover_walk(a, budget)
+
+
+def _cover_walk(a: GroupRingElement, budget: int) -> SearchResult:
+    """Exact-cover backtracking for a set A whose size divides N.
+
+    Always fill the least uncovered residue, trying candidate translates in
+    ascending order.  This walk alone decides tiling; complement_search puts
+    its entry checks in front, and the tests check those checks against it.
+    """
+    n = a.n
+    k = n // a.mass
     amask = a.mask
     full = (1 << n) - 1
     translates = [((amask << v) | (amask >> (n - v))) & full if v else amask for v in range(n)]
@@ -166,19 +183,29 @@ def _prime_of(s: int) -> int:
     return next(iter(factorize(s)))
 
 
+def _t1(a: GroupRingElement) -> tuple[frozenset[int], bool]:
+    """S_A, and whether T1 holds: |A| is the product of p(s) over s in S_A.
+
+    S_A collects the prime powers s dividing N whose character at N/s
+    vanishes on A, i.e. Phi_s divides the mask polynomial; Phi_s(1) = p(s),
+    the prime of s.
+    """
+    n = a.n
+    s_a = []
+    prod = 1
+    for p, e in factorize(n).items():
+        for s in (p**k for k in range(1, e + 1)):
+            if is_char_zero(a, n // s):
+                s_a.append(s)
+                prod *= p
+    return frozenset(s_a), a.mass == prod
+
+
 def t1_t2_check(a: GroupRingElement) -> PrimePowerSpectrumData:
     if not a.is_set or a.is_zero:
         raise ValueError("structure conditions are defined for nonempty sets")
     n = a.n
-    s_a = frozenset(
-        s
-        for s in a.modulus.divisors()
-        if s > 1 and len(factorize(s)) == 1 and is_char_zero(a, n // s)
-    )
-    prod = 1
-    for s in s_a:
-        prod *= cyclotomic(s)(1)
-    t1 = a.mass == prod
+    s_a, t1 = _t1(a)
 
     by_prime: dict[int, list[int]] = {}
     for s in sorted(s_a):

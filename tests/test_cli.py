@@ -78,6 +78,21 @@ def test_tile_exit_codes(capsys):
     assert "no tiling complement" in capsys.readouterr().out
 
 
+def test_tile_t1_rejection_exits_without_search():
+    # |A| = 5 divides 120 but A fails T1, so no complement exists; the
+    # exact-cover walk alone used to exhaust a 10^6 budget here (exit 2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectile", "tile", "--n", "120",
+         "--set", "0,28,32,50,116", "--budget", "1000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "no tiling complement\nnodes: 0\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_pair(capsys):
     base = ("verify-pair", "--n", "4", "--set", "0,1")
     assert run_cli(*base, "--set", "0,2", "--mode", "spectral") == 0

@@ -15,11 +15,13 @@ from spectile.fastscan import (
     canonical_filter,
     canonicalize_batch,
     modulus_tables,
+    t1_filter,
     zero_class_matrix,
     zero_set_from_bits,
 )
 from spectile.groupring import Modulus, subset, zero_set
 from spectile.spectral import canonical_form
+from spectile.tiling import t1_t2_check
 
 
 def members_of(mask: int, n: int) -> tuple[int, ...]:
@@ -127,6 +129,9 @@ def test_tables_cover_all_nonzero_residues(n):
         members = t.class_members[e]
         assert len(members) == t.class_sizes[j]
         assert all(np.gcd(g, n) == e for g in members)
+        d = n // e
+        primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+        assert t.class_primes[j] == (primes[0] if len(primes) == 1 else 1)
 
 
 @pytest.mark.parametrize("n", [12, 30, 60])
@@ -140,6 +145,27 @@ def test_zero_class_matrix_matches_zero_set(n):
         for j, e in enumerate(t.divisors):
             assert bool(zbits[j, i]) == (e in zs.divisor_classes)
         assert zero_set_from_bits(zbits[:, i], t) == zs
+
+
+def assert_t1_filter_matches_t1_t2_check(n: int, masks: np.ndarray) -> None:
+    t = modulus_tables(n)
+    zbits, _ = zero_class_matrix(masks, t)
+    got = t1_filter(zbits, np.bitwise_count(masks).astype(np.int64), t)
+    want = [t1_t2_check(subset(n, members_of(m, n))).t1_holds for m in masks.tolist()]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_t1_filter_matches_t1_t2_check_exhaustively(n):
+    assert_t1_filter_matches_t1_t2_check(n, np.arange(1, 1 << n, dtype=np.uint64))
+
+
+def test_t1_filter_matches_t1_t2_check_sampled_z30():
+    t = modulus_tables(30)
+    masks = np.concatenate(
+        [random_masks(30, 1000, seed=31), canonicalize_batch(random_masks(30, 1000, seed=37), t)]
+    )
+    assert_t1_filter_matches_t1_t2_check(30, masks)
 
 
 def test_max_scan_modulus_has_tables():

@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spectile import scan
 from spectile.groupring import subset, zero_set
 from spectile.pnqr import PnqrModulus
-from spectile.spectral import is_spectral_pair, spectrum_search
+from spectile.spectral import SearchResult, is_spectral_pair, spectrum_search
 from spectile.tiling import (
+    DEFAULT_BUDGET,
     ComplementOutcome,
     ConstructionError,
+    _cover_walk,
     cm_spectrum,
     complement_from_spectrum,
     complement_search,
@@ -99,8 +103,16 @@ def test_complement_search_result_is_validated():
 
 
 def test_complement_search_budget():
+    # {0,1,2,3,5,7} in Z_12 passes T1 (S_A = {2, 3, 4}, 2*3*2 = 6) but does
+    # not tile, so only the walk can tell, and 1 node is not enough for it
+    a = subset(12, [0, 1, 2, 3, 5, 7])
+    assert t1_t2_check(a).t1_holds
+    assert complement_search(a, budget=1).status == "exhausted"
+    res = complement_search(a)
+    assert res.status == "none" and res.nodes == 42
+    # {0,1,2,3,4,5,6,8} in Z_16 fails T1: rejected before the walk
     res = complement_search(subset(16, [0, 1, 2, 3, 4, 5, 6, 8]), budget=1)
-    assert res.status == "exhausted"
+    assert (res.status, res.nodes) == ("none", 0)
 
 
 @pytest.mark.parametrize("n", [9, 12])
@@ -123,6 +135,44 @@ def test_complement_search_sampled_larger_moduli():
         res = complement_search(a)
         assert res.status != "exhausted"
         assert res.found == (brute_tiles(a.support, n) is not None)
+
+
+def assert_t1_rejections_match_the_walk(n: int, masks) -> int:
+    """complement_search against _cover_walk on every mask of size dividing n.
+
+    A class failing T1 must get "none" after 0 nodes from complement_search
+    and "none" from the walk; any other class must get the walk's own result.
+    Returns how many classes T1 rejected.
+    """
+    rejected = 0
+    for m in masks:
+        a = subset(n, [g for g in range(n) if m >> g & 1])
+        if n % a.mass:
+            continue
+        res = complement_search(a)
+        walk = _cover_walk(a, DEFAULT_BUDGET)
+        if t1_t2_check(a).t1_holds:
+            assert res == walk, (n, a.support)
+        else:
+            rejected += 1
+            assert res == SearchResult("none", None, 0), (n, a.support)
+            assert walk.status == "none", (n, a.support)
+    return rejected
+
+
+@pytest.mark.parametrize(
+    "n, rejected",
+    [(8, 3), (12, 47), (16, 140), (18, 642), (20, 1391), (24, 19938)],
+)
+def test_t1_rejections_match_the_walk_exhaustively(n, rejected):
+    masks = np.concatenate(list(scan._exhaustive_classes(n))).tolist()
+    assert assert_t1_rejections_match_the_walk(n, masks) == rejected
+
+
+def test_t1_rejections_match_the_walk_sampled_z30():
+    # 380 of these classes have a size dividing 30
+    masks = scan._sample_classes(30, 2000, seed=17).tolist()
+    assert assert_t1_rejections_match_the_walk(30, masks) == 357
 
 
 @pytest.mark.xfail(
