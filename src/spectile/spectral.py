@@ -12,7 +12,9 @@ symmetry is broken at the first branch level: if any spectrum exists, one
 exists whose smallest nonzero element is minimal in its own unit orbit, and
 the orbit minimum of g under (Z/N)^* is gcd(g, N).  The search is exact and
 deterministic with an explicit node budget, and reports budget exhaustion
-separately from a proven absence.
+separately from a proven absence.  spectrum_search (first clique) and
+enumerate_spectra (every clique) share one walk, which keeps an explicit
+stack rather than recursing, so |A| is not bounded by the recursion limit.
 
 Spectrality is an affine invariant.  Orbits under x -> ux + v with u a unit
 give each subset a canonical representative: the orbit element whose sorted
@@ -133,6 +135,64 @@ def _rot_left(mask: int, v: int, n: int) -> int:
     return ((mask << v) | (mask >> (n - v))) & ((1 << n) - 1)
 
 
+def _cayley_graph(a: GroupRingElement, zeros: ZeroSet | None) -> tuple[int, list[int]]:
+    """Z_A as a mask, and each vertex's neighbourhood in the Cayley graph on Z_A.
+
+    Both come back empty (0 and []) when no walk is needed: for |A| = 1 the
+    only clique is {0}, and when |Z_A| < |A| - 1 no |A|-clique exists.
+    """
+    if not a.is_set or a.is_zero:
+        raise ValueError("spectra are defined for nonempty sets")
+    s = a.mass
+    if s > 1:
+        zs = zeros if zeros is not None else zero_set(a)
+        if len(zs) >= s - 1:
+            zmask = zs.mask
+            return zmask, [_rot_left(zmask, v, a.n) for v in range(a.n)]
+    return 0, []
+
+
+def _cliques(
+    chosen: list[int], cand: int, size: int, adj: list[int], budget: int, nodes: int
+) -> Iterator[tuple[tuple[int, ...] | None, int]]:
+    """Every size-clique extending the clique `chosen`, in ascending order.
+
+    `cand` holds the vertices above `chosen` adjacent to all of it.  Yields
+    (clique, nodes) for each clique, then (None, nodes) once the walk ends;
+    nodes > budget then means the budget ran out.  Each vertex taken is one
+    node, and a candidate set smaller than what is still needed is pruned
+    before the take.  The walk keeps its own stack of the candidate sets it
+    descended from, so no input reaches the recursion limit.
+    """
+    need = size - len(chosen)
+    if need == 0:
+        yield tuple(chosen), nodes
+    else:
+        stack: list[int] = []
+        while True:
+            if cand.bit_count() >= need:
+                low = cand & -cand
+                cand ^= low
+                nodes += 1
+                if nodes > budget:
+                    break
+                v = low.bit_length() - 1
+                if need == 1:
+                    yield (*chosen, v), nodes
+                else:
+                    stack.append(cand)
+                    chosen.append(v)
+                    cand &= adj[v]
+                    need -= 1
+            elif stack:
+                cand = stack.pop()
+                chosen.pop()
+                need += 1
+            else:
+                break
+    yield None, nodes
+
+
 def spectrum_search(
     a: GroupRingElement,
     budget: int | None = None,
@@ -146,58 +206,23 @@ def spectrum_search(
     pruning rule.  Returns status "exhausted" with the node count when the
     budget runs out before the question is settled.
     """
-    if not a.is_set:
-        raise ValueError("spectrum search needs a set")
-    if a.is_zero:
-        raise ValueError("spectrum search needs a nonempty set")
+    zmask, adj = _cayley_graph(a, zeros)
+    if a.mass == 1:
+        return SearchResult("found", subset(a.modulus, [0]), 0)
     budget = DEFAULT_BUDGET if budget is None else budget
     n = a.n
-    s = a.mass
-    if s == 1:
-        return SearchResult("found", subset(a.modulus, [0]), 0)
-    zs = zeros if zeros is not None else zero_set(a)
-    zmask = zs.mask
-    zsize = len(zs)
-    if zsize < s - 1:
-        return SearchResult("none", None, 0)
-
-    adj = [_rot_left(zmask, v, n) for v in range(n)]
     nodes = 0
-    chosen = [0]
-
-    def extend(cand: int) -> bool:
-        nonlocal nodes
-        need = s - len(chosen)
-        if need == 0:
-            return True
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted
-            chosen.append(v)
-            if extend(cand & adj[v]):
-                return True
-            chosen.pop()
-        return False
-
     # first-level symmetry break: the smallest nonzero element of some
     # spectrum can be assumed orbit minimal, and orbit minima are divisors
-    first_candidates = [d for d in range(1, n) if n % d == 0 and (zmask >> d) & 1]
-    try:
-        for m in first_candidates:
-            chosen = [0, m]
+    for m in (d for d in range(1, n) if n % d == 0 and (zmask >> d) & 1):
+        nodes += 1
+        if nodes <= budget:
             upper = zmask & adj[m] & ~((1 << (m + 1)) - 1)
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted
-            if extend(upper):
-                return SearchResult("found", subset(a.modulus, sorted(chosen)), nodes)
-    except BudgetExhausted:
-        return SearchResult("exhausted", None, nodes)
+            clique, nodes = next(_cliques([0, m], upper, a.mass, adj, budget, nodes))
+            if clique is not None:
+                return SearchResult("found", subset(a.modulus, clique), nodes)
+        if nodes > budget:
+            return SearchResult("exhausted", None, nodes)
     return SearchResult("none", None, nodes)
 
 
@@ -209,44 +234,16 @@ def enumerate_spectra(
     """Yield every spectrum B containing 0, in ascending lexicographic order.
 
     No unit symmetry breaking here: callers get the complete list of cliques
-    through 0, one per translation class of spectra.
+    through 0, one per translation class of spectra.  Raises BudgetExhausted
+    once the walk takes more than node_budget vertices.
     """
-    if not a.is_set or a.is_zero:
-        raise ValueError("enumeration needs a nonempty set")
-    n = a.n
-    s = a.mass
-    if s == 1:
-        yield subset(a.modulus, [0])
-        return
-    zs = zeros if zeros is not None else zero_set(a)
-    zmask = zs.mask
-    if len(zs) < s - 1:
-        return
-    adj = [_rot_left(zmask, v, n) for v in range(n)]
-    budget = node_budget if node_budget is not None else DEFAULT_BUDGET
-    nodes = 0
-    chosen = [0]
-    out: list[GroupRingElement] = []
-
-    def walk(cand: int) -> Iterator[GroupRingElement]:
-        nonlocal nodes
-        if len(chosen) == s:
-            yield subset(a.modulus, sorted(chosen))
-            return
-        need = s - len(chosen)
-        while cand:
-            if cand.bit_count() < need:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted(f"enumeration exceeded {budget} nodes")
-            chosen.append(v)
-            yield from walk(cand & adj[v])
-            chosen.pop()
-
-    yield from walk(zmask)
+    zmask, adj = _cayley_graph(a, zeros)
+    budget = DEFAULT_BUDGET if node_budget is None else node_budget
+    for clique, nodes in _cliques([0], zmask, a.mass, adj, budget, 0):
+        if nodes > budget:
+            raise BudgetExhausted(f"enumeration exceeded {budget} nodes")
+        if clique is not None:
+            yield subset(a.modulus, clique)
 
 
 # -- canonical forms under the affine action -------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .cyclotomic import factorize
 from .groupring import GroupRingElement, is_char_zero, subset, zero_set
 from .pnqr import PnqrModulus, divisor_profile
-from .spectral import BudgetExhausted, SearchResult, is_spectral_pair
+from .spectral import DEFAULT_BUDGET, SearchResult, _rot_left, is_spectral_pair
 
 __all__ = [
     "TilingVerdict",
@@ -47,8 +47,6 @@ __all__ = [
     "cm_spectrum",
     "complement_from_spectrum",
 ]
-
-DEFAULT_BUDGET = 10**8
 
 
 class ConstructionError(RuntimeError):
@@ -122,44 +120,44 @@ def complement_search(
 def _cover_walk(a: GroupRingElement, budget: int) -> SearchResult:
     """Exact-cover backtracking for a set A whose size divides N.
 
-    Always fill the least uncovered residue, trying candidate translates in
-    ascending order.  This walk alone decides tiling; complement_search puts
-    its entry checks in front, and the tests check those checks against it.
+    Always fill the least uncovered residue g, trying the translates that
+    cover g in the order of A's elements; each one tried is a node.  The
+    walk keeps its own stack of (covered, g, next element) for the levels
+    it descended from, so no input reaches the recursion limit.  This walk
+    alone decides tiling; complement_search puts its entry checks in front,
+    and the tests check those checks against it.
     """
     n = a.n
     k = n // a.mass
     amask = a.mask
-    full = (1 << n) - 1
-    translates = [((amask << v) | (amask >> (n - v))) & full if v else amask for v in range(n)]
+    translates = [_rot_left(amask, v, n) for v in range(n)]
     support = a.support
+    s = len(support)
     nodes = 0
     chosen: list[int] = []
-
-    def fill(covered: int) -> bool:
-        nonlocal nodes
-        if len(chosen) == k:
-            return True
-        g = ((~covered) & full)
-        g = (g & -g).bit_length() - 1
-        for ae in support:
-            v = (g - ae) % n
+    stack: list[tuple[int, int, int]] = []
+    covered = g = i = 0
+    while True:
+        if i < s:
+            v = (g - support[i]) % n
+            i += 1
             nodes += 1
             if nodes > budget:
-                raise BudgetExhausted
+                return SearchResult("exhausted", None, nodes)
             tr = translates[v]
-            if not (tr & covered):
+            if not tr & covered:
                 chosen.append(v)
-                if fill(covered | tr):
-                    return True
-                chosen.pop()
-        return False
-
-    try:
-        ok = fill(0)
-    except BudgetExhausted:
-        return SearchResult("exhausted", None, nodes)
-    if not ok:
-        return SearchResult("none", None, nodes)
+                if len(chosen) == k:
+                    break
+                stack.append((covered, g, i))
+                covered |= tr
+                g = ((covered + 1) & ~covered).bit_length() - 1
+                i = 0
+        elif stack:
+            covered, g, i = stack.pop()
+            chosen.pop()
+        else:
+            return SearchResult("none", None, nodes)
     t0 = chosen[0]
     t = subset(a.modulus, sorted((v - t0) % n for v in chosen))
     if not is_tiling_pair(a, t).is_pair:

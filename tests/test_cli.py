@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectile.certificates import pair_certificate, write_certificates
 from spectile.cli import main
@@ -91,6 +95,57 @@ def test_tile_t1_rejection_exits_without_search():
     assert proc.returncode == 1
     assert proc.stdout == "no tiling complement\nnodes: 0\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_tile_deep_cover_exits_without_traceback():
+    # 1500 levels of exact cover: the walk used to overflow the call stack
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectile", "tile", "--n", "1500", "--set", "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("nodes: 1500\n")
+    assert "Traceback" not in proc.stderr
+
+
+@st.composite
+def cli_argv(draw):
+    """One zeros/spectrum/tile/t1t2/verify-pair call on a valid, multiset or
+    garbage set literal, with --n drawn from 2..120 and --budget up to 10^4."""
+    command = draw(st.sampled_from(["zeros", "spectrum", "tile", "t1t2", "verify-pair"]))
+    n = draw(st.integers(2, 120))
+    residues = st.integers(0, n - 1).map(str)
+    literal = st.one_of(
+        st.sets(residues, min_size=1, max_size=n).map(",".join),
+        # multisets, including zero and negative multiplicities
+        st.lists(
+            st.tuples(residues, st.integers(-2, 3).map(str)).map(":".join),
+            min_size=1,
+            max_size=6,
+        ).map(",".join),
+        # full literals, whose modulus may disagree with --n
+        st.tuples(st.integers(-1, 130), st.lists(residues, max_size=8)).map(
+            lambda t: f"N={t[0]}; S={','.join(t[1])}"
+        ),
+        st.text(alphabet="0123456789,:;=NS -x", max_size=16),
+    )
+    argv = [command, "--n", str(n)]
+    for lit in draw(st.lists(literal, min_size=1, max_size=2)):
+        argv.append(f"--set={lit}")
+    if command in ("spectrum", "tile"):
+        argv += ["--budget", str(draw(st.integers(0, 10**4)))]
+    if command == "verify-pair":
+        argv += ["--mode", draw(st.sampled_from(["spectral", "tiling"]))]
+    return argv
+
+
+@settings(max_examples=300)
+@given(cli_argv())
+def test_cli_exit_codes_fuzz(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(*argv) in {0, 1, 2, 3}
 
 
 def test_verify_pair(capsys):

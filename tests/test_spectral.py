@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from spectile.groupring import subset, zero_set
 from spectile.spectral import (
     AffineMap,
+    BudgetExhausted,
     affine_image,
     affine_orbit,
     canonical_form,
@@ -171,6 +174,59 @@ def test_enumerate_spectra_lists_all_cliques():
     # any b with chi_b(A) = 0 works, i.e. b odd times 4 ... enumerated directly
     zs = zero_set(a).members
     assert found == {(0, b) for b in sorted(zs)}
+
+
+def _pinned_clique_sets():
+    """200 seeded sets on N in {36, 48, 60, 72}.
+
+    Three in four are unions of cosets of a subgroup, whose zero sets are
+    large enough to give the clique walk real work; the rest are random.
+    """
+    rng = random.Random(2026)
+    for i in range(200):
+        n = rng.choice((36, 48, 60, 72))
+        h = rng.choice([d for d in range(2, n) if n % d == 0])
+        q = n // h
+        if i % 4:
+            reps = rng.sample(range(q), rng.randint(1, max(1, q // 2)))
+            members = {r + q * j for r in reps for j in range(h)}
+        else:
+            members = rng.sample(range(n), h)
+        yield subset(n, members)
+
+
+def test_search_and_enumeration_node_counts_are_pinned():
+    # spectrum_search's (status, nodes, witness) at budget 10^4 and the
+    # spectra enumerate_spectra lists before a 10^3-node budget runs out,
+    # recorded from the recursive walkers this walk replaced; a node-counting
+    # slip changes the digest, and with it the spectrum_nodes of scan records
+    rows = []
+    for a in _pinned_clique_sets():
+        res = spectrum_search(a, budget=10**4)
+        listed = []
+        try:
+            for b in enumerate_spectra(a, node_budget=10**3):
+                listed.append(b.support)
+            end = "done"
+        except BudgetExhausted:
+            end = "exhausted"
+        witness = res.witness and res.witness.support
+        rows.append((a.n, a.support, res.status, res.nodes, witness, end, listed))
+    assert Counter(r[2] for r in rows) == {"none": 97, "found": 95, "exhausted": 8}
+    assert sum(r[3] for r in rows) == 92_756
+    assert Counter(r[5] for r in rows) == {"done": 109, "exhausted": 91}
+    assert sum(len(r[6]) for r in rows) == 26_624
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "07a20dc2369dc088ab7616f8810405eb92dcda99c5acc1635b62147bbb63029b"
+
+
+def test_deep_cliques_do_not_recurse():
+    # all of Z_1200 is its own spectrum: a 1200-clique, one walk level each
+    a = subset(1200, range(1200))
+    res = spectrum_search(a)
+    assert res.found and res.nodes == 1199
+    assert res.witness.support == tuple(range(1200))
+    assert next(enumerate_spectra(a)).support == tuple(range(1200))
 
 
 @given(random_subsets(min_size=2))

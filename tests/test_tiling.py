@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -175,16 +177,34 @@ def test_t1_rejections_match_the_walk_sampled_z30():
     assert assert_t1_rejections_match_the_walk(30, masks) == 357
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RecursionError,
-    reason="the exact-cover fill recurses N/|A| deep (ROADMAP item 5)",
-)
 def test_complement_search_deep_cover_does_not_recurse():
-    # Z_1500 = {0} + {0, ..., 1499}: 1500 translates, one level each.
-    # When the search walks iteratively this passes; drop the marker then.
+    # Z_1500 = {0} + {0, ..., 1499}: 1500 translates, one walk level each
     res = complement_search(subset(1500, [0]))
     assert res.found and len(res.witness.support) == 1500
+    assert res.nodes == 1500
+
+
+def _pinned_walk_sets():
+    """200 seeded sets on N in {36, 48, 60, 72} with sizes dividing N."""
+    rng = random.Random(2026)
+    for _ in range(200):
+        n = rng.choice((36, 48, 60, 72))
+        size = rng.choice([d for d in range(2, n // 2 + 1) if n % d == 0])
+        yield subset(n, rng.sample(range(n), size))
+
+
+def test_cover_walk_node_counts_are_pinned():
+    # (status, nodes, witness) of every walk at budget 10^4, recorded from
+    # the recursive walk this one replaced; a node-counting slip changes the
+    # digest, and with it the tile_nodes of scan records
+    rows = []
+    for a in _pinned_walk_sets():
+        res = _cover_walk(a, 10**4)
+        rows.append((a.n, a.support, res.status, res.nodes, res.witness and res.witness.support))
+    assert Counter(r[2] for r in rows) == {"none": 159, "found": 22, "exhausted": 19}
+    assert sum(r[3] for r in rows) == 358_307
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "a8729d0404e2a18eda57507435dfef444eb9e9ee095d02a4cb8791df90db33f5"
 
 
 # -- structural spectrum construction --------------------------------------
