@@ -26,7 +26,6 @@ from .groupring import (
     is_char_zero,
     multiset,
     parse_set_literal,
-    ring_combine,
     subset,
     zero_set,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "is_char_zero",
     "multiset",
     "parse_set_literal",
-    "ring_combine",
     "subset",
     "zero_set",
     "DivisorClass",

@@ -48,6 +48,13 @@ KINDS = {
     "non_spectral_tile_candidate": ("tiling_pair",),
     "non_tile_spectral_candidate": ("spectral_pair",),
 }
+# replayable check name -> the verifier that recomputes it
+_VERIFIERS = {"spectral_pair": is_spectral_pair, "tiling_pair": is_tiling_pair}
+# candidate kind -> the search-derived check it carries
+_CARRIED = {
+    "non_spectral_tile_candidate": "spectrum_search_none",
+    "non_tile_spectral_candidate": "complement_search_none",
+}
 
 
 @dataclass(frozen=True)
@@ -127,19 +134,14 @@ def pair_certificate(
     seed: int | None = None,
 ) -> Certificate:
     """Certificate for a directly verified spectral or tiling pair."""
-    if kind not in ("spectral_pair", "tiling_pair"):
+    if kind not in _VERIFIERS:
         raise ValueError(f"not a pair kind: {kind}")
-    ok = (
-        is_spectral_pair(a, partner).is_pair
-        if kind == "spectral_pair"
-        else is_tiling_pair(a, partner).is_pair
-    )
     return Certificate(
         n=a.n,
         kind=kind,
         primary_set=a.support,
         partner_set=partner.support,
-        checks=((kind, ok),),
+        checks=((kind, _VERIFIERS[kind](a, partner).is_pair),),
         tool_version=__version__,
         seed=seed,
     )
@@ -156,24 +158,16 @@ def candidate_certificate(
     The witness is the pair partner for the side that succeeded; the failed
     search is recorded as a carried (non-replayed) check.
     """
-    if kind == "non_spectral_tile_candidate":
-        checks = (
-            ("spectrum_search_none", True),
-            ("tiling_pair", is_tiling_pair(a, witness).is_pair),
-        )
-    elif kind == "non_tile_spectral_candidate":
-        checks = (
-            ("complement_search_none", True),
-            ("spectral_pair", is_spectral_pair(a, witness).is_pair),
-        )
-    else:
+    if kind not in _CARRIED:
         raise ValueError(f"not a candidate kind: {kind}")
+    (check,) = KINDS[kind]
+    checks = ((_CARRIED[kind], True), (check, _VERIFIERS[check](a, witness).is_pair))
     return Certificate(
         n=a.n,
         kind=kind,
         primary_set=a.support,
         partner_set=witness.support,
-        checks=checks,
+        checks=tuple(sorted(checks)),
         tool_version=__version__,
         seed=seed,
     )
@@ -194,11 +188,7 @@ def replay(cert: Certificate) -> bool:
     for name in KINDS[cert.kind]:
         if name not in stored:
             raise MalformedCertificate(f"missing replayable check {name!r}")
-        if name == "spectral_pair":
-            got = is_spectral_pair(a, partner).is_pair
-        else:
-            got = is_tiling_pair(a, partner).is_pair
-        if got != stored[name]:
+        if _VERIFIERS[name](a, partner).is_pair != stored[name]:
             return False
     return True
 

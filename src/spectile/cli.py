@@ -258,13 +258,14 @@ def build_parser() -> _Parser:
 
     p = add("scan", _cmd_scan, help="scan all classes of one modulus")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--trials", type=int, default=0, help="classes to sample")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**6)
-    p.add_argument("--out", default=None, help="record file (JSON lines)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--ceiling", type=int, default=500_000, help="exhaustive class cap")
+    p.add_argument("--mode", choices=("exhaustive", "sample"), default=ScanConfig.mode)
+    p.add_argument("--trials", type=int, default=ScanConfig.sample_count, help="classes to sample")
+    p.add_argument("--seed", type=int, default=ScanConfig.seed)
+    p.add_argument("--budget", type=int, default=ScanConfig.budget)
+    p.add_argument("--out", default=ScanConfig.out, help="record file (JSON lines)")
+    p.add_argument("--workers", type=int, default=ScanConfig.workers)
+    p.add_argument("--ceiling", type=int, default=ScanConfig.class_ceiling,
+                   help="exhaustive class cap")
 
     p = add("lemmas", _cmd_lemmas, help="run a named property-test suite")
     p.add_argument("suite", choices=SUITE_NAMES)

@@ -33,7 +33,6 @@ __all__ = [
     "as_modulus",
     "subset",
     "multiset",
-    "ring_combine",
     "char_value",
     "is_char_zero",
     "zero_set",
@@ -228,18 +227,6 @@ def multiset(
     m: Modulus | int, items: Iterable[int | tuple[int, int]]
 ) -> GroupRingElement:
     return GroupRingElement.from_multiset(m, items)
-
-
-def ring_combine(
-    x: GroupRingElement, y: GroupRingElement, op: str
-) -> GroupRingElement:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}, expected add|sub|mul")
 
 
 # -- characters and zero sets ---------------------------------------------

@@ -11,9 +11,10 @@ function: the record stream, the report, and the bytes of the output file
 are all identical run to run.
 
 The vectorized kernels in fastscan enumerate and canonicalize the masks and
-reject whole batches at the searches' entry checks; the one per-class loop,
-which runs the searches and builds each ScanRecord, and the record's line
-format both live here.
+reject whole batches at the searches' entry checks.  Each chunk of classes
+is then decided into verdict columns: only the classes that pass an entry
+check are searched, the report is read off a 3x3 count of (has_spectrum,
+tiles) verdicts, and record lines are formatted only when they are written.
 
 Persistence is an append-only file of one JSON record per line, keyed by
 modulus and canonical mask.  The class sequence is cut into chunks of at
@@ -22,10 +23,12 @@ and the parent appends the chunks' records in sequence order, flushing after
 each, so the file always holds a prefix of the full record stream.  A crash
 loses only the chunks in flight: the one being decided in-process, or at
 most AHEAD per worker on a pool (plus at most one partial line).
-Resuming truncates a partially written or damaged trailing line, re-derives
-the class sequence, drops the classes already on disk and appends the rest,
-so an interrupted-and-resumed scan converges to the same bytes as an
-uninterrupted one, whatever the worker count.
+Resuming truncates a partially written or damaged trailing line, checks that
+the file is a prefix of this config's record stream (same modulus, node
+counts within the budget, the first classes of the same sequence) and
+appends the rest, so an interrupted-and-resumed scan converges to the same
+bytes as an uninterrupted one, whatever the worker count.  A file from
+another config is refused with ValueError before anything is appended.
 """
 
 from __future__ import annotations
@@ -97,18 +100,9 @@ class ScanRecord:
     certificate: Certificate | None = None
 
     def to_json(self) -> str:
-        """The record line, as compact json.dumps(sort_keys=True) writes it.
-
-        The keys are spelled out in sorted order.  The strings are hex keys
-        and fixed ASCII verdict words, so none needs escaping.
-        """
-        cert = self.certificate
-        head = "{" if cert is None else '{"certificate":' + cert.to_json() + ","
-        return (
-            f'{head}"has_spectrum":"{self.has_spectrum}","key":"{self.key}",'
-            f'"n":{self.n},"set":[{",".join(map(str, self.members))}],'
-            f'"size":{self.size},"spectrum_nodes":{self.spectrum_nodes},'
-            f'"tile_nodes":{self.tile_nodes},"tiles":"{self.tiles}"}}'
+        return _record_line(
+            self.n, self.key, self.members, self.has_spectrum, self.tiles,
+            self.spectrum_nodes, self.tile_nodes, self.certificate,
         )
 
     @classmethod
@@ -226,119 +220,129 @@ def _sample_classes(n: int, count: int, seed: int) -> np.ndarray:
     return np.array(ordered, dtype=np.uint64)
 
 
-# -- record production -----------------------------------------------------
+# -- deciding chunks -------------------------------------------------------
 
 
-_STATUS = {"found": "yes", "none": "no", "exhausted": "inconclusive"}
+# verdict codes index _WORDS; a class's cell in the 3x3 count is 3 * has_spectrum + tiles
+_WORDS = ("no", "yes", "inconclusive")
+_CODES = {word: code for code, word in enumerate(_WORDS)}
+_STATUS_CODES = {"none": 0, "found": 1, "exhausted": 2}
 _SKIPPED = SearchResult("none", None, 0)
 
 
-def _records_for(n: int, masks: np.ndarray, budget: int, cert_seed) -> list[ScanRecord]:
-    """Decide a chunk of canonical masks: both searches, one record per class.
+def _record_line(n, key, members, has_spectrum, tiles, spectrum_nodes, tile_nodes, cert) -> str:
+    """The record line, as compact json.dumps(sort_keys=True) writes it.
+
+    The keys are spelled out in sorted order.  The strings are hex keys and
+    fixed ASCII verdict words, so none needs escaping.
+    """
+    head = "{" if cert is None else '{"certificate":' + cert.to_json() + ","
+    return (
+        f'{head}"has_spectrum":"{has_spectrum}","key":"{key}",'
+        f'"n":{n},"set":[{",".join(map(str, members))}],'
+        f'"size":{len(members)},"spectrum_nodes":{spectrum_nodes},'
+        f'"tile_nodes":{tile_nodes},"tiles":"{tiles}"}}'
+    )
+
+
+def _members(m: int, n: int) -> list[int]:
+    return [g for g in range(n) if m >> g & 1]
+
+
+def _chunk_worker(args) -> tuple[np.ndarray, list, str]:
+    """Decide a chunk of canonical masks into verdict columns.
 
     The three entry rejections (zero set too small to host a spectrum-sized
     clique; set size not dividing n; T1 failing) are evaluated for the whole
     chunk first; they mirror the searches' own first checks, so skipping the
-    call changes nothing, node counts included.
+    call changes nothing, node counts included.  Only classes passing one of
+    them are searched; the rest keep "no" after 0 nodes.  Returns the 3x3
+    verdict count, the flagged (key, certificate) pairs in class order, and
+    the record lines ("" unless write is set).
     """
+    n, budget, cert_seed, masks, write = args
     t = modulus_tables(n)
     pc = np.bitwise_count(masks).astype(np.int64)
     zbits, zsize = zero_class_matrix(masks, t)
-    need_spec = (zsize >= pc - 1).tolist()
-    need_tile = ((n % pc == 0) & t1_filter(zbits, pc, t)).tolist()
-    out = []
-    for i, m in enumerate(masks.tolist()):
-        members = tuple(g for g in range(n) if (m >> g) & 1)
+    need_spec = zsize >= pc - 1
+    need_tile = (n % pc == 0) & t1_filter(zbits, pc, t)
+    codes = np.zeros((2, len(masks)), dtype=np.int64)  # has_spectrum, tiles
+    nodes = np.zeros((2, len(masks)), dtype=np.int64)
+    certs = {}
+    mlist = masks.tolist()
+    for i in np.flatnonzero(need_spec | need_tile).tolist():
+        a = subset(t.modulus, _members(mlist[i], n))
         spec = tile = _SKIPPED
-        if need_spec[i] or need_tile[i]:
-            a = subset(t.modulus, members)
-            if need_spec[i]:
-                zs = zero_set_from_bits(zbits[:, i], t)
-                spec = spectrum_search(a, budget=budget, zeros=zs)
-            if need_tile[i]:
-                tile = complement_search(a, budget=budget)
-        cert = None
+        if need_spec[i]:
+            zs = zero_set_from_bits(zbits[:, i], t)
+            spec = spectrum_search(a, budget=budget, zeros=zs)
+        if need_tile[i]:
+            tile = complement_search(a, budget=budget)
+        codes[:, i] = _STATUS_CODES[spec.status], _STATUS_CODES[tile.status]
+        nodes[:, i] = spec.nodes, tile.nodes
         if spec.status == "found" and tile.status == "none":
-            cert = candidate_certificate(
+            certs[i] = candidate_certificate(
                 "non_tile_spectral_candidate", a, spec.witness, seed=cert_seed
             )
         elif tile.status == "found" and spec.status == "none":
-            cert = candidate_certificate(
+            certs[i] = candidate_certificate(
                 "non_spectral_tile_candidate", a, tile.witness, seed=cert_seed
             )
-        out.append(
-            ScanRecord(
-                n=n,
-                key=f"{n}:{m:x}",
-                members=members,
-                size=len(members),
-                has_spectrum=_STATUS[spec.status],
-                tiles=_STATUS[tile.status],
-                spectrum_nodes=spec.nodes,
-                tile_nodes=tile.nodes,
-                certificate=cert,
-            )
-        )
-    return out
+    counts = np.bincount(3 * codes[0] + codes[1], minlength=9)
+    flagged = [(f"{n}:{mlist[i]:x}", cert) for i, cert in certs.items()]
+    if not write:
+        return counts, flagged, ""
+    lines = [
+        _record_line(n, f"{n}:{m:x}", _members(m, n), _WORDS[s], _WORDS[ti], sn, tn, certs.get(i))
+        for i, (m, s, ti, sn, tn) in enumerate(zip(mlist, *codes.tolist(), *nodes.tolist()))
+    ]
+    return counts, flagged, "\n".join(lines) + "\n"
 
 
-class _Tally:
-    def __init__(self) -> None:
-        self.classes = 0
-        self.spectral = 0
-        self.tiles = 0
-        self.both = 0
-        self.neither = 0
-        self.spectral_only = 0
-        self.tile_only = 0
-        self.inconclusive_spectrum = 0
-        self.inconclusive_tile = 0
-        self.counterexamples: list[str] = []
-        self.certificates: list[Certificate] = []
-
-    def add(self, rec: ScanRecord) -> None:
-        self.classes += 1
-        s, t = rec.has_spectrum, rec.tiles
-        if s == "yes":
-            self.spectral += 1
-        elif s == "inconclusive":
-            self.inconclusive_spectrum += 1
-        if t == "yes":
-            self.tiles += 1
-        elif t == "inconclusive":
-            self.inconclusive_tile += 1
-        if s == "yes" and t == "yes":
-            self.both += 1
-        elif s == "no" and t == "no":
-            self.neither += 1
-        elif s == "yes" and t == "no":
-            self.spectral_only += 1
-        elif s == "no" and t == "yes":
-            self.tile_only += 1
-        if rec.certificate is not None:
-            self.counterexamples.append(rec.key)
-            self.certificates.append(rec.certificate)
-
-    def merge(self, other: "_Tally") -> None:
-        """Add another tally's counts; its keys and certificates go after ours."""
-        for name, value in vars(other).items():
-            setattr(self, name, getattr(self, name) + value)
+def _report(config: ScanConfig, counts: np.ndarray, flagged: list) -> ScanReport:
+    """The report, read off the 3x3 count of (has_spectrum, tiles) codes."""
+    c = counts.reshape(3, 3).tolist()  # c[has_spectrum][tiles]: no, yes, inconclusive
+    return ScanReport(
+        n=config.n,
+        mode=config.mode,
+        classes=sum(map(sum, c)),
+        spectral=sum(c[1]),
+        tiles=sum(row[1] for row in c),
+        both=c[1][1],
+        neither=c[0][0],
+        spectral_only=c[1][0],
+        tile_only=c[0][1],
+        inconclusive_spectrum=sum(c[2]),
+        inconclusive_tile=sum(row[2] for row in c),
+        counterexamples=tuple(key for key, _ in flagged),
+        certificates=tuple(cert for _, cert in flagged),
+        seed=config.seed,
+        budget=config.budget,
+        sample_count=config.sample_count,
+    )
 
 
 # -- persistence -----------------------------------------------------------
 
 
-def _load_existing(path: str, n: int, tally: _Tally) -> np.ndarray:
-    """Tally the records on disk and return the masks already done for Z_n.
+def _fits(verdict: str, nodes: int, budget: int) -> bool:
+    # both searches stop at exactly budget + 1 nodes when the budget runs out
+    return nodes == budget + 1 if verdict == "inconclusive" else nodes <= budget
+
+
+def _load_existing(path: str, config: ScanConfig, counts: np.ndarray, flagged: list) -> np.ndarray:
+    """Tally the records on disk and return their masks, in file order.
 
     The file is read one line at a time.  A partially written trailing line,
     or a damaged last line, is truncated so the scan rewrites it; a damaged
-    line before the last is an error.  The masks come back sorted.
+    line before the last is an error.  So is a record of another modulus or
+    one whose node counts another budget produced: the file is then not this
+    config's record stream (_chunks checks the class order).
     """
     if not os.path.exists(path):
         return np.zeros(0, dtype=np.uint64)
     masks = array("Q")
-    prefix = f"{n}:"
+    prefix = f"{config.n}:"
     keep = None
     with open(path, "r+b") as fh:
         offset = 0
@@ -347,19 +351,31 @@ def _load_existing(path: str, n: int, tally: _Tally) -> np.ndarray:
             if raw.endswith(b"\n"):
                 try:
                     rec = ScanRecord.from_payload(json.loads(raw))
+                    cell = 3 * _CODES[rec.has_spectrum] + _CODES[rec.tiles]
                 except (json.JSONDecodeError, KeyError, TypeError):
+                    rec = None
                     if fh.readline().endswith(b"\n"):
                         raise ValueError(f"corrupt scan record in {path!r}") from None
             if rec is None:
                 keep = offset  # partial or damaged tail, rewrite from here
                 break
-            tally.add(rec)
-            if rec.key.startswith(prefix):
-                masks.append(int(rec.key[len(prefix) :], 16))
+            if not (
+                rec.key.startswith(prefix)
+                and _fits(rec.has_spectrum, rec.spectrum_nodes, config.budget)
+                and _fits(rec.tiles, rec.tile_nodes, config.budget)
+            ):
+                raise ValueError(
+                    f"cannot resume {path!r}: record {rec.key} is not from a scan "
+                    f"of Z_{config.n} at budget {config.budget}"
+                )
+            counts[cell] += 1
+            if rec.certificate is not None:
+                flagged.append((rec.key, rec.certificate))
+            masks.append(int(rec.key[len(prefix) :], 16))
             offset += len(raw)
         if keep is not None:
             fh.truncate(keep)
-    return np.sort(np.frombuffer(masks, dtype=np.uint64))
+    return np.frombuffer(masks, dtype=np.uint64)
 
 
 def read_records(path: str) -> list[ScanRecord]:
@@ -375,30 +391,27 @@ def read_records(path: str) -> list[ScanRecord]:
 # -- chunk jobs ------------------------------------------------------------
 
 
-def _chunks(batches, done: np.ndarray):
-    """The class sequence minus the masks in done (sorted), in chunks of <= CHUNK.
+def _chunks(batches, done: np.ndarray, path: str | None):
+    """The class sequence after its prefix done, in chunks of <= CHUNK.
 
-    A chunk never spans two batches, so at most one batch is held at a time.
+    done must be the sequence's first len(done) classes in order, or the
+    record file at path came from another config; that is refused before
+    the first chunk is yielded.  A chunk never spans two batches, so at
+    most one batch is held at a time.
     """
+    k = 0
     for masks in batches:
-        if len(done):
-            # np.isin would sort all of done again for every batch
-            pos = np.searchsorted(done, masks).clip(max=len(done) - 1)
-            masks = masks[done[pos] != masks]
+        head = masks[: len(done) - k]
+        if not np.array_equal(head, done[k : k + len(head)]):
+            break
+        k += len(head)
+        masks = masks[len(head) :]
         for i in range(0, len(masks), CHUNK):
             yield masks[i : i + CHUNK]
-
-
-def _chunk_worker(args) -> tuple[_Tally, str]:
-    """Decide one chunk: its tally and, when serialize is set, its record lines."""
-    n, budget, cert_seed, masks, serialize = args
-    tally = _Tally()
-    lines = []
-    for rec in _records_for(n, masks, budget, cert_seed):
-        tally.add(rec)
-        if serialize:
-            lines.append(rec.to_json() + "\n")
-    return tally, "".join(lines)
+    if k < len(done):
+        raise ValueError(
+            f"cannot resume {path!r}: its classes do not start this scan's class sequence"
+        )
 
 
 def _pool_map(pool: ProcessPoolExecutor, jobs, ahead: int):
@@ -449,17 +462,18 @@ def fuglede_scan(config: ScanConfig) -> ScanReport:
             )
 
     cert_seed = config.seed if config.mode == "sample" else None
-    tally = _Tally()
+    counts = np.zeros(9, dtype=np.int64)
+    flagged: list = []
     done = np.zeros(0, dtype=np.uint64)
     if config.out is not None:
-        done = _load_existing(config.out, n, tally)
+        done = _load_existing(config.out, config, counts, flagged)
     if config.mode == "exhaustive":
         batches = _exhaustive_classes(n)
     else:
         batches = [_sample_classes(n, config.sample_count, config.seed)]
     jobs = (
         (n, config.budget, cert_seed, chunk, config.out is not None)
-        for chunk in _chunks(batches, done)
+        for chunk in _chunks(batches, done, config.out)
     )
 
     with ExitStack() as stack:
@@ -471,37 +485,22 @@ def fuglede_scan(config: ScanConfig) -> ScanReport:
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
             results = _pool_map(pool, jobs, AHEAD * config.workers)
-        for part, text in results:
-            tally.merge(part)
+        for part, part_flagged, text in results:
+            counts += part
+            flagged += part_flagged
             if out_fh is not None:
                 out_fh.write(text)
                 out_fh.flush()
 
-    if expected is not None and tally.classes != expected:
+    report = _report(config, counts, flagged)
+    if expected is not None and report.classes != expected:
         raise AssertionError(
-            f"exhaustive scan of Z_{n} visited {tally.classes} classes, "
+            f"exhaustive scan of Z_{n} visited {report.classes} classes, "
             f"Burnside predicts {expected}"
         )
-    if config.mode == "sample" and tally.classes != config.sample_count:
+    if config.mode == "sample" and report.classes != config.sample_count:
         raise AssertionError(
-            f"sampled scan produced {tally.classes} classes, "
+            f"sampled scan produced {report.classes} classes, "
             f"requested {config.sample_count}"
         )
-    return ScanReport(
-        n=n,
-        mode=config.mode,
-        classes=tally.classes,
-        spectral=tally.spectral,
-        tiles=tally.tiles,
-        both=tally.both,
-        neither=tally.neither,
-        spectral_only=tally.spectral_only,
-        tile_only=tally.tile_only,
-        inconclusive_spectrum=tally.inconclusive_spectrum,
-        inconclusive_tile=tally.inconclusive_tile,
-        counterexamples=tuple(tally.counterexamples),
-        certificates=tuple(tally.certificates),
-        seed=config.seed,
-        budget=config.budget,
-        sample_count=config.sample_count,
-    )
+    return report

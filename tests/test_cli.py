@@ -223,6 +223,24 @@ def test_scan_sample_count_above_class_count(trials, code):
         assert "exceeds the 21 classes" in proc.stderr
 
 
+def test_scan_resume_under_another_budget_is_refused(capsys, tmp_path):
+    out = tmp_path / "n12.jsonl"
+    assert run_cli("scan", "--n", "12", "--out", str(out)) == 0
+    half = b"".join(out.read_bytes().splitlines(keepends=True)[:77])
+    out.write_bytes(half)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectile", "scan", "--n", "12", "--budget", "1",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "cannot resume" in proc.stderr
+    assert out.read_bytes() == half
+
+
 def test_scan_inconclusive_exit(capsys):
     assert run_cli("scan", "--n", "8", "--budget", "1") == 2
 

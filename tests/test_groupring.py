@@ -15,7 +15,6 @@ from spectile.groupring import (
     is_char_zero,
     multiset,
     parse_set_literal,
-    ring_combine,
     subset,
     zero_set,
 )
@@ -127,16 +126,6 @@ def test_difference_multiset_of_perfect_difference_set():
 def test_twist_collapses_on_shared_factor():
     x = subset(4, [0, 2])
     assert x.twist(2).coeffs == (2, 0, 0, 0)
-
-
-def test_ring_combine_dispatch():
-    a = subset(6, [0, 1])
-    b = subset(6, [2])
-    assert ring_combine(a, b, "add") == a + b
-    assert ring_combine(a, b, "sub") == a - b
-    assert ring_combine(a, b, "mul") == a * b
-    with pytest.raises(ValueError):
-        ring_combine(a, b, "div")
 
 
 def test_modulus_mismatch_rejected():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spectile import scan
-from spectile.certificates import pair_certificate, replay
+from spectile.certificates import replay
 from spectile.fastscan import canonicalize_batch, modulus_tables
 from spectile.groupring import subset
 from spectile.scan import (
@@ -96,7 +96,7 @@ def test_record_stream_shape(tmp_path):
         assert rec.tiles in ("yes", "no", "inconclusive")
 
 
-def flagging_scan(monkeypatch, patched: str, out: str):
+def flagging_scan(monkeypatch, patched: str, out: str, workers: int = 1):
     """Scan Z_8 to out with one search patched to answer "none" every time.
 
     No scanned modulus has a counterexample, so this is how the scan's
@@ -105,7 +105,7 @@ def flagging_scan(monkeypatch, patched: str, out: str):
     """
     with monkeypatch.context() as mp:
         mp.setattr(scan, patched, lambda *args, **kwargs: SearchResult("none", None, 0))
-        return fuglede_scan(ScanConfig(n=8, out=out))
+        return fuglede_scan(ScanConfig(n=8, out=out, workers=workers))
 
 
 def test_record_json_round_trip(tmp_path, monkeypatch):
@@ -167,7 +167,8 @@ def canonical_sample(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def assert_records_match_searches(n: int, masks: np.ndarray, budget: int) -> None:
-    records = scan._records_for(n, masks, budget, None)
+    _, _, text = scan._chunk_worker((n, budget, None, masks, True))
+    records = [ScanRecord.from_payload(json.loads(line)) for line in text.splitlines()]
     assert [rec.key for rec in records] == [f"{n}:{m:x}" for m in masks.tolist()]
     for rec in records:
         a = subset(n, rec.members)
@@ -322,17 +323,102 @@ def test_serial_resume_cut_inside_a_chunk(tmp_path, monkeypatch):
     assert open(part, "rb").read() == reference
 
 
-def test_tally_merge_appends_flagged_classes_in_order():
-    # no scanned modulus has a counterexample, so flag records by hand
-    cert = pair_certificate("tiling_pair", subset(9, [0, 3, 6]), subset(9, [0, 1, 2]))
-    total = scan._Tally()
-    for key in ("9:49", "9:7"):
-        part = scan._Tally()
-        part.add(ScanRecord(9, key, (0, 3, 6), 3, "no", "yes", 1, 1, cert))
-        total.merge(part)
-    assert (total.classes, total.tiles, total.tile_only) == (2, 2, 2)
-    assert total.counterexamples == ["9:49", "9:7"]
-    assert total.certificates == [cert, cert]
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_flagged_classes_stay_in_file_order(tmp_path, monkeypatch, workers, resumed):
+    monkeypatch.setattr(scan, "CHUNK", 4)  # 21 classes of Z_8 in 6 chunks
+    out = str(tmp_path / "flagged.jsonl")
+    full = flagging_scan(monkeypatch, "complement_search", out)
+    if resumed:
+        reference = open(out, "rb").read()
+        with open(out, "wb") as fh:
+            fh.write(reference[: len(reference) // 2])  # cuts mid-line
+    report = flagging_scan(monkeypatch, "complement_search", out, workers=workers)
+    records = read_records(out)
+    flagged = [rec for rec in records if rec.certificate is not None]
+    assert len(flagged) == 6
+    assert report.counterexamples == tuple(rec.key for rec in flagged)
+    assert report.certificates == tuple(rec.certificate for rec in flagged)
+    assert report == full
+
+
+def recount(records: list[ScanRecord]) -> dict:
+    """The report's counts, recomputed from the records' verdict pairs."""
+    pairs = [(rec.has_spectrum, rec.tiles) for rec in records]
+    return {
+        "classes": len(pairs),
+        "spectral": sum(s == "yes" for s, _ in pairs),
+        "tiles": sum(t == "yes" for _, t in pairs),
+        "both": pairs.count(("yes", "yes")),
+        "neither": pairs.count(("no", "no")),
+        "spectral_only": pairs.count(("yes", "no")),
+        "tile_only": pairs.count(("no", "yes")),
+        "inconclusive_spectrum": sum(s == "inconclusive" for s, _ in pairs),
+        "inconclusive_tile": sum(t == "inconclusive" for _, t in pairs),
+        "counterexamples": tuple(rec.key for rec in records if rec.certificate),
+    }
+
+
+def test_report_counts_match_record_pairs(tmp_path, monkeypatch):
+    reports = {
+        "n12": fuglede_scan(ScanConfig(n=12, out=str(tmp_path / "n12"))),
+        "n12-budget1": fuglede_scan(ScanConfig(n=12, budget=1, out=str(tmp_path / "n12-budget1"))),
+    }
+    for patched in ("complement_search", "spectrum_search"):
+        reports[patched] = flagging_scan(monkeypatch, patched, str(tmp_path / patched))
+    cells = set()
+    for name, report in reports.items():
+        records = read_records(str(tmp_path / name))
+        expected = recount(records)
+        assert {key: getattr(report, key) for key in expected} == expected, name
+        cells |= {(rec.has_spectrum, rec.tiles) for rec in records}
+    # the budget-1 and flagging scans reach every cell but (inconclusive, yes)
+    assert cells == {
+        ("no", "no"), ("yes", "yes"), ("yes", "no"), ("no", "yes"), ("yes", "inconclusive"),
+        ("inconclusive", "no"), ("no", "inconclusive"), ("inconclusive", "inconclusive"),
+    }
+
+
+def half_file(path: str) -> bytes:
+    """Keep the first half of the lines of a record file; return the kept bytes."""
+    lines = open(path, "rb").read().splitlines(keepends=True)
+    data = b"".join(lines[: len(lines) // 2])
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ({"n": 12}, {"n": 8}),
+        ({"n": 12}, {"budget": 1}),
+        ({"n": 12, "budget": 1}, {"budget": 2}),
+        ({"n": 30, "mode": "sample", "sample_count": 50, "seed": 1}, {"seed": 2}),
+        ({"n": 30, "mode": "sample", "sample_count": 50, "seed": 1}, {"sample_count": 20}),
+    ],
+    ids=["modulus", "budget-lowered", "budget-raised", "seed", "sample-count"],
+)
+def test_resume_refuses_another_configs_file(tmp_path, first, second):
+    out = str(tmp_path / "records.jsonl")
+    config = ScanConfig(out=out, **first)
+    fuglede_scan(config)
+    data = half_file(out)
+    with pytest.raises(ValueError, match="cannot resume"):
+        fuglede_scan(replace(config, **second))
+    assert open(out, "rb").read() == data
+
+
+def test_resume_refuses_classes_out_of_sequence_order(tmp_path):
+    out = str(tmp_path / "n12.jsonl")
+    fuglede_scan(ScanConfig(n=12, out=out))
+    lines = open(out, "rb").read().splitlines(keepends=True)[:60]
+    lines[10], lines[11] = lines[11], lines[10]
+    with open(out, "wb") as fh:
+        fh.writelines(lines)
+    with pytest.raises(ValueError, match="cannot resume"):
+        fuglede_scan(ScanConfig(n=12, out=out))
+    assert open(out, "rb").read().splitlines(keepends=True) == lines
 
 
 def test_config_validation(tmp_path):
