@@ -158,7 +158,7 @@ def _cmd_scan(parser, args):
     )
     try:
         report = fuglede_scan(config)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be opened
         parser.error(str(exc))
     print(f"scan N={report.n} mode={report.mode} classes={report.classes}")
     print(
@@ -229,7 +229,7 @@ def build_parser() -> _Parser:
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)  # usage errors print this subcommand's usage
         return p
 
     p = add("zeros", _cmd_zeros, help="zero set of a set or multiset")
@@ -282,7 +282,7 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    return args.func(args.parser, args)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,9 @@ reject whole batches at the searches' entry checks.  Each chunk of classes
 is then decided into verdict columns: only the classes that pass an entry
 check are searched, the report is read off a 3x3 count of (has_spectrum,
 tiles) verdicts, and record lines are formatted only when they are written.
+A line's "set" text is joined column by column from tables of pre-rendered
+member strings, one per 10-bit chunk of the mask, and its "size" is the
+mask's popcount, so only the searched classes ever list their members.
 
 Persistence is an append-only file of one JSON record per line, keyed by
 modulus and canonical mask.  The class sequence is cut into chunks of at
@@ -42,6 +45,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -101,8 +105,9 @@ class ScanRecord:
 
     def to_json(self) -> str:
         return _record_line(
-            self.n, self.key, self.members, self.has_spectrum, self.tiles,
-            self.spectrum_nodes, self.tile_nodes, self.certificate,
+            self.n, self.key, ",".join(map(str, self.members)), len(self.members),
+            self.has_spectrum, self.tiles, self.spectrum_nodes, self.tile_nodes,
+            self.certificate,
         )
 
     @classmethod
@@ -230,23 +235,48 @@ _STATUS_CODES = {"none": 0, "found": 1, "exhausted": 2}
 _SKIPPED = SearchResult("none", None, 0)
 
 
-def _record_line(n, key, members, has_spectrum, tiles, spectrum_nodes, tile_nodes, cert) -> str:
+def _record_line(
+    n, key, members, size, has_spectrum, tiles, spectrum_nodes, tile_nodes, cert
+) -> str:
     """The record line, as compact json.dumps(sort_keys=True) writes it.
 
-    The keys are spelled out in sorted order.  The strings are hex keys and
-    fixed ASCII verdict words, so none needs escaping.
+    members is the set's text, its members joined by commas, and size their
+    count.  The keys are spelled out in sorted order.  The strings are hex
+    keys and fixed ASCII verdict words, so none needs escaping.
     """
     head = "{" if cert is None else '{"certificate":' + cert.to_json() + ","
     return (
         f'{head}"has_spectrum":"{has_spectrum}","key":"{key}",'
-        f'"n":{n},"set":[{",".join(map(str, members))}],'
-        f'"size":{len(members)},"spectrum_nodes":{spectrum_nodes},'
-        f'"tile_nodes":{tile_nodes},"tiles":"{tiles}"}}'
+        f'"n":{n},"set":[{members}],"size":{size},'
+        f'"spectrum_nodes":{spectrum_nodes},"tile_nodes":{tile_nodes},"tiles":"{tiles}"}}'
     )
 
 
 def _members(m: int, n: int) -> list[int]:
     return [g for g in range(n) if m >> g & 1]
+
+
+@lru_cache(maxsize=None)
+def _member_text_table(c: int) -> np.ndarray:
+    """Member text of every 10-bit value v of a mask's chunk c, as objects.
+
+    Entry v lists 10c + b for each set bit b of v, each followed by a comma:
+    entry 0b1011 of chunk 2 is "20,21,23,".
+    """
+    texts = ["".join(f"{10 * c + b}," for b in range(10) if v >> b & 1) for v in range(1024)]
+    return np.array(texts, dtype=object)
+
+
+def _member_texts(masks: np.ndarray, n: int) -> list[str]:
+    """",".join(map(str, _members(m, n))) for every mask m.
+
+    The texts are joined a column at a time, one 10-bit chunk of the masks
+    after another, from the chunks' member text tables.
+    """
+    texts = _member_text_table(0)[masks & np.uint64(1023)]
+    for c in range(1, (n + 9) // 10):
+        texts += _member_text_table(c)[(masks >> np.uint64(10 * c)) & np.uint64(1023)]
+    return [text[:-1] for text in texts.tolist()]
 
 
 def _chunk_worker(args) -> tuple[np.ndarray, list, str]:
@@ -258,7 +288,8 @@ def _chunk_worker(args) -> tuple[np.ndarray, list, str]:
     call changes nothing, node counts included.  Only classes passing one of
     them are searched; the rest keep "no" after 0 nodes.  Returns the 3x3
     verdict count, the flagged (key, certificate) pairs in class order, and
-    the record lines ("" unless write is set).
+    the record lines ("" unless write is set), formatted from the verdict,
+    node and certificate columns with the member texts of _member_texts.
     """
     n, budget, cert_seed, masks, write = args
     t = modulus_tables(n)
@@ -268,7 +299,7 @@ def _chunk_worker(args) -> tuple[np.ndarray, list, str]:
     need_tile = (n % pc == 0) & t1_filter(zbits, pc, t)
     codes = np.zeros((2, len(masks)), dtype=np.int64)  # has_spectrum, tiles
     nodes = np.zeros((2, len(masks)), dtype=np.int64)
-    certs = {}
+    certs = [None] * len(masks)
     mlist = masks.tolist()
     for i in np.flatnonzero(need_spec | need_tile).tolist():
         a = subset(t.modulus, _members(mlist[i], n))
@@ -289,12 +320,15 @@ def _chunk_worker(args) -> tuple[np.ndarray, list, str]:
                 "non_spectral_tile_candidate", a, tile.witness, seed=cert_seed
             )
     counts = np.bincount(3 * codes[0] + codes[1], minlength=9)
-    flagged = [(f"{n}:{mlist[i]:x}", cert) for i, cert in certs.items()]
+    flagged = [(f"{n}:{m:x}", cert) for m, cert in zip(mlist, certs) if cert is not None]
     if not write:
         return counts, flagged, ""
+    keys = map(f"{n}:%x".__mod__, mlist)
     lines = [
-        _record_line(n, f"{n}:{m:x}", _members(m, n), _WORDS[s], _WORDS[ti], sn, tn, certs.get(i))
-        for i, (m, s, ti, sn, tn) in enumerate(zip(mlist, *codes.tolist(), *nodes.tolist()))
+        _record_line(n, key, text, size, _WORDS[s], _WORDS[ti], sn, tn, cert)
+        for key, text, size, s, ti, sn, tn, cert in zip(
+            keys, _member_texts(masks, n), pc.tolist(), *codes.tolist(), *nodes.tolist(), certs
+        )
     ]
     return counts, flagged, "\n".join(lines) + "\n"
 
@@ -325,6 +359,11 @@ def _report(config: ScanConfig, counts: np.ndarray, flagged: list) -> ScanReport
 # -- persistence -----------------------------------------------------------
 
 
+_FIELDS = itemgetter(  # a record line missing any of these is damaged
+    "key", "has_spectrum", "tiles", "spectrum_nodes", "tile_nodes", "n", "set", "size"
+)
+
+
 def _fits(verdict: str, nodes: int, budget: int) -> bool:
     # both searches stop at exactly budget + 1 nodes when the budget runs out
     return nodes == budget + 1 if verdict == "inconclusive" else nodes <= budget
@@ -350,8 +389,9 @@ def _load_existing(path: str, config: ScanConfig, counts: np.ndarray, flagged: l
             rec = None
             if raw.endswith(b"\n"):
                 try:
-                    rec = ScanRecord.from_payload(json.loads(raw))
-                    cell = 3 * _CODES[rec.has_spectrum] + _CODES[rec.tiles]
+                    rec = json.loads(raw)
+                    key, spec, tiles, spec_nodes, tile_nodes, *_ = _FIELDS(rec)
+                    cell = 3 * _CODES[spec] + _CODES[tiles]
                 except (json.JSONDecodeError, KeyError, TypeError):
                     rec = None
                     if fh.readline().endswith(b"\n"):
@@ -360,18 +400,19 @@ def _load_existing(path: str, config: ScanConfig, counts: np.ndarray, flagged: l
                 keep = offset  # partial or damaged tail, rewrite from here
                 break
             if not (
-                rec.key.startswith(prefix)
-                and _fits(rec.has_spectrum, rec.spectrum_nodes, config.budget)
-                and _fits(rec.tiles, rec.tile_nodes, config.budget)
+                key.startswith(prefix)
+                and _fits(spec, spec_nodes, config.budget)
+                and _fits(tiles, tile_nodes, config.budget)
             ):
                 raise ValueError(
-                    f"cannot resume {path!r}: record {rec.key} is not from a scan "
+                    f"cannot resume {path!r}: record {key} is not from a scan "
                     f"of Z_{config.n} at budget {config.budget}"
                 )
             counts[cell] += 1
-            if rec.certificate is not None:
-                flagged.append((rec.key, rec.certificate))
-            masks.append(int(rec.key[len(prefix) :], 16))
+            cert = rec.get("certificate")
+            if cert is not None:
+                flagged.append((key, Certificate.from_payload(cert)))
+            masks.append(int(key[len(prefix) :], 16))
             offset += len(raw)
         if keep is not None:
             fh.truncate(keep)
@@ -443,6 +484,8 @@ def fuglede_scan(config: ScanConfig) -> ScanReport:
         raise ValueError(f"scan supports 2 <= n <= {MAX_SCAN_N}, got {n}")
     if config.mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {config.mode!r}")
+    if config.budget < 0:
+        raise ValueError(f"budget must be >= 0, got {config.budget}")
     if config.mode == "sample" and config.sample_count < 1:
         raise ValueError("sample mode needs sample_count >= 1")
     if config.mode == "sample" and config.sample_count > scan_class_count(n):

@@ -241,6 +241,27 @@ def test_scan_resume_under_another_budget_is_refused(capsys, tmp_path):
     assert out.read_bytes() == half
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_scan_bad_out_path_is_usage_error(tmp_path, where):
+    out = tmp_path / "no" / "such" / "f.jsonl" if where == "missing-dir" else tmp_path
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectile", "scan", "--n", "8", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert str(out) in proc.stderr
+
+
+def test_refused_scan_prints_scan_usage(capsys):
+    assert run_cli("scan", "--n", "8", "--budget", "-1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spectile scan")
+    assert "budget must be >= 0" in err
+
+
 def test_scan_inconclusive_exit(capsys):
     assert run_cli("scan", "--n", "8", "--budget", "1") == 2
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -108,26 +109,70 @@ def flagging_scan(monkeypatch, patched: str, out: str, workers: int = 1):
         return fuglede_scan(ScanConfig(n=8, out=out, workers=workers))
 
 
-def test_record_json_round_trip(tmp_path, monkeypatch):
-    configs = {
-        "n8": ScanConfig(n=8),
-        "n12": ScanConfig(n=12),
-        "n12-budget1": ScanConfig(n=12, budget=1),
-        "n30-sample": ScanConfig(n=30, mode="sample", sample_count=2000, seed=0),
-    }
-    for name, config in configs.items():
-        fuglede_scan(replace(config, out=str(tmp_path / name)))
-    flagging_scan(monkeypatch, "complement_search", str(tmp_path / "flagged"))
+# record files written once for the round-trip and byte-pin tests
+RECORD_CONFIGS = {
+    "n8": ScanConfig(n=8),
+    "n12": ScanConfig(n=12),
+    "n12-budget1": ScanConfig(n=12, budget=1),
+    "n21": ScanConfig(n=21),
+    "n30-sample": ScanConfig(n=30, mode="sample", sample_count=2000, seed=0),
+    "n41-sample": ScanConfig(n=41, mode="sample", sample_count=200, seed=0),
+    "n60-sample": ScanConfig(n=60, mode="sample", sample_count=200, seed=0),
+}
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("records")
+    for name, config in RECORD_CONFIGS.items():
+        fuglede_scan(replace(config, out=str(root / name)))
+    return root
+
+
+def test_record_json_round_trip(record_files, tmp_path, monkeypatch):
+    paths = {name: record_files / name for name in RECORD_CONFIGS}
+    paths["flagged"] = tmp_path / "flagged"
+    flagging_scan(monkeypatch, "complement_search", str(paths["flagged"]))
     texts = {}
-    for name in [*configs, "flagged"]:
-        with open(tmp_path / name, encoding="utf-8") as fh:
+    for name, path in paths.items():
+        with open(path, encoding="utf-8") as fh:
             texts[name] = fh.read()
         for line in texts[name].splitlines(keepends=True):
             payload = json.loads(line)
             assert line == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-            assert ScanRecord.from_payload(payload).to_json() + "\n" == line
+            rec = ScanRecord.from_payload(payload)
+            assert rec.to_json() + "\n" == line
+            mask = int(rec.key.split(":")[1], 16)
+            assert list(rec.members) == [g for g in range(rec.n) if mask >> g & 1]
+            assert rec.size == len(rec.members)
     assert '"inconclusive"' in texts["n12-budget1"]
     assert '"certificate"' in texts["flagged"]
+
+
+def test_record_files_are_byte_pinned(record_files):
+    # any change to these bytes is a record format change: bump the version
+    pinned = {
+        "n21": "9730b1e29fadf06769c41814dc5b5e2c779210b898720bc57a263927a48f4e93",
+        "n30-sample": "a20c57bf63cad2e7274245cac75e99a70ac66ac4afd6555173bc0625e84a088b",
+        "n41-sample": "9c7199e0155bb6eee6403ebf0b6406fbf5d8423c214748a0c1d8bf565ea534dc",
+        "n60-sample": "fb46b27bcdb1d1dbfb764100234e6518d80c59c810c46bf15de70e6b5f30e935",
+    }
+    digests = {
+        name: hashlib.sha256((record_files / name).read_bytes()).hexdigest() for name in pinned
+    }
+    assert digests == pinned
+
+
+def test_member_texts_match_joined_members():
+    for n in range(2, 61):
+        full = (1 << n) - 1
+        high = full & ~((1 << 30) - 1)  # members only at or above bit 30
+        draws = np.random.default_rng(n).integers(1, 1 << 62, size=250, dtype=np.uint64).tolist()
+        masks = [1 << g for g in range(n)] + [full]
+        masks += [m & full for m in draws[:200]] + [m & high for m in draws[200:]]
+        masks = [m for m in masks if m]
+        texts = scan._member_texts(np.array(masks, dtype=np.uint64), n)
+        assert texts == [",".join(map(str, scan._members(m, n))) for m in masks], n
 
 
 @pytest.mark.parametrize(
@@ -393,11 +438,13 @@ def half_file(path: str) -> bytes:
     [
         ({"n": 12}, {"n": 8}),
         ({"n": 12}, {"budget": 1}),
+        ({"n": 12}, {"budget": 9}),  # only tile node counts exceed 9
         ({"n": 12, "budget": 1}, {"budget": 2}),
         ({"n": 30, "mode": "sample", "sample_count": 50, "seed": 1}, {"seed": 2}),
         ({"n": 30, "mode": "sample", "sample_count": 50, "seed": 1}, {"sample_count": 20}),
     ],
-    ids=["modulus", "budget-lowered", "budget-raised", "seed", "sample-count"],
+    ids=["modulus", "budget-lowered", "budget-below-tile-nodes", "budget-raised", "seed",
+         "sample-count"],
 )
 def test_resume_refuses_another_configs_file(tmp_path, first, second):
     out = str(tmp_path / "records.jsonl")
@@ -432,6 +479,8 @@ def test_config_validation(tmp_path):
         fuglede_scan(ScanConfig(n=8, mode="sample"))
     with pytest.raises(ValueError, match="exceeds the 21 classes"):
         fuglede_scan(ScanConfig(n=8, mode="sample", sample_count=22))
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        fuglede_scan(ScanConfig(n=8, budget=-1))
     # a pool needs no output file: the records come back to the parent
     assert fuglede_scan(ScanConfig(n=12, workers=2)) == fuglede_scan(ScanConfig(n=12))
     with pytest.raises(ValueError, match="ceiling"):
