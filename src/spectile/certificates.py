@@ -36,6 +36,9 @@ __all__ = [
 class MalformedCertificate(ValueError):
     """The serialized form cannot be interpreted as a certificate."""
 
+    def __str__(self) -> str:
+        return f"malformed certificate: {super().__str__()}"
+
 
 class VersionMismatch(RuntimeError):
     """The certificate was produced by a different tool version."""
@@ -116,6 +119,12 @@ class Certificate:
             raise MalformedCertificate("set elements must be integers")
         if seed is not None and not isinstance(seed, int):
             raise MalformedCertificate("seed must be an integer or null")
+        if not primary or not partner:
+            raise MalformedCertificate("sets must be nonempty")
+        try:  # subset refuses a modulus out of range and a residue out of range or repeated
+            subset(n, primary), subset(n, partner)
+        except ValueError as exc:
+            raise MalformedCertificate(str(exc)) from None
         return cls(
             n=n,
             kind=kind,

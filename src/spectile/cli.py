@@ -2,7 +2,9 @@
 
 Subcommands: zeros, spectrum, tile, verify-pair, t1t2, scan, lemmas, replay.
 Exit codes: 0 success, 1 verification failure or counterexample flagged,
-2 inconclusive under the node budget, 3 usage error.
+2 inconclusive under the node budget, 3 refused input.  Handlers raise on
+input they refuse; main alone turns ValueError, OSError and VersionMismatch
+into a one-line usage error, so only failed internal checks print tracebacks.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .certificates import MalformedCertificate, VersionMismatch, read_certificates, replay
+from .certificates import VersionMismatch, read_certificates, replay
 from .groupring import GroupRingElement, format_set_literal, parse_set_literal, zero_set
 from .pnqr import PnqrModulus, decompose
 from .scan import ScanConfig, fuglede_scan
@@ -32,44 +34,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_set(parser: _Parser, n: int | None, literal: str) -> GroupRingElement:
+def _resolve_set(n: int | None, literal: str) -> GroupRingElement:
     """Build an element from --set text, honoring an optional --n flag.
 
     The literal may be the full ``N=<int>; S=...`` form or just the residue
     list, in which case --n supplies the modulus.
     """
-    try:
-        if "N=" in literal.replace(" ", ""):
-            x = parse_set_literal(literal)
-            if n is not None and x.n != n:
-                parser.error(f"--n {n} disagrees with set literal modulus {x.n}")
-            return x
-        if n is None:
-            parser.error("--n is required when --set gives residues only")
-        return parse_set_literal(f"N={n}; S={literal}")
-    except ValueError as exc:
-        parser.error(str(exc))
+    if "N=" in literal.replace(" ", ""):
+        x = parse_set_literal(literal)
+        if n is not None and x.n != n:
+            raise ValueError(f"--n {n} disagrees with set literal modulus {x.n}")
+        return x
+    if n is None:
+        raise ValueError("--n is required when --set gives residues only")
+    return parse_set_literal(f"N={n}; S={literal}")
 
 
-def _cmd_zeros(parser, args):
-    x = _resolve_set(parser, args.n, args.set)
-    try:
-        zs = zero_set(x)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_zeros(args):
+    x = _resolve_set(args.n, args.set)
+    zs = zero_set(x)
     print(format_set_literal(x))
     print(f"zero set: {','.join(map(str, sorted(zs.members)))}")
     print(f"divisor classes: {','.join(map(str, sorted(zs.divisor_classes)))}")
     if args.grid:
-        try:
-            pm = PnqrModulus.from_int(x.n)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(decompose(x, pm).dump())
+        print(decompose(x, PnqrModulus.from_int(x.n)).dump())
     return EXIT_OK
 
 
-def _search_exit(parser, res, label: str) -> int:
+def _search_exit(res, label: str) -> int:
     if res.status == "found":
         print(f"{label}: {format_set_literal(res.witness)}")
         print(f"nodes: {res.nodes}")
@@ -82,57 +74,43 @@ def _search_exit(parser, res, label: str) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _cmd_spectrum(parser, args):
-    a = _resolve_set(parser, args.n, args.set)
-    try:
-        res = spectrum_search(a, budget=args.budget)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return _search_exit(parser, res, "spectrum")
+def _cmd_spectrum(args):
+    a = _resolve_set(args.n, args.set)
+    return _search_exit(spectrum_search(a, budget=args.budget), "spectrum")
 
 
-def _cmd_tile(parser, args):
-    a = _resolve_set(parser, args.n, args.set)
-    try:
-        res = complement_search(a, budget=args.budget)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return _search_exit(parser, res, "tiling complement")
+def _cmd_tile(args):
+    a = _resolve_set(args.n, args.set)
+    return _search_exit(complement_search(a, budget=args.budget), "tiling complement")
 
 
-def _cmd_verify_pair(parser, args):
+def _cmd_verify_pair(args):
     if len(args.set) != 2:
-        parser.error("verify-pair needs exactly two --set arguments")
-    a = _resolve_set(parser, args.n, args.set[0])
-    b = _resolve_set(parser, args.n, args.set[1])
-    try:
-        if args.mode == "spectral":
-            verdict = is_spectral_pair(a, b)
-            if verdict.is_pair:
-                print("spectral pair: yes")
-                return EXIT_OK
-            if verdict.size_mismatch:
-                print(f"spectral pair: no (|A|={len(a.support)} != |B|={len(b.support)})")
-            else:
-                print(f"spectral pair: no (difference {verdict.violation} not in Z_A)")
-            return EXIT_FAIL
-        verdict = is_tiling_pair(a, b)
+        raise ValueError("verify-pair needs exactly two --set arguments")
+    a = _resolve_set(args.n, args.set[0])
+    b = _resolve_set(args.n, args.set[1])
+    if args.mode == "spectral":
+        verdict = is_spectral_pair(a, b)
         if verdict.is_pair:
-            print("tiling pair: yes")
+            print("spectral pair: yes")
             return EXIT_OK
-        kind, value = verdict.failure
-        print(f"tiling pair: no ({kind}={value})")
+        if verdict.size_mismatch:
+            print(f"spectral pair: no (|A|={len(a.support)} != |B|={len(b.support)})")
+        else:
+            print(f"spectral pair: no (difference {verdict.violation} not in Z_A)")
         return EXIT_FAIL
-    except ValueError as exc:
-        parser.error(str(exc))
+    verdict = is_tiling_pair(a, b)
+    if verdict.is_pair:
+        print("tiling pair: yes")
+        return EXIT_OK
+    kind, value = verdict.failure
+    print(f"tiling pair: no ({kind}={value})")
+    return EXIT_FAIL
 
 
-def _cmd_t1t2(parser, args):
-    a = _resolve_set(parser, args.n, args.set)
-    try:
-        data = t1_t2_check(a)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_t1t2(args):
+    a = _resolve_set(args.n, args.set)
+    data = t1_t2_check(a)
     print(f"S_A: {','.join(map(str, sorted(data.s_a))) or '-'}")
     print(f"T1: {'holds' if data.t1_holds else 'fails'}")
     print(f"T2: {'holds' if data.t2_holds else 'fails'}")
@@ -145,21 +123,19 @@ def _cmd_t1t2(parser, args):
     return EXIT_OK if verdict.is_pair else EXIT_FAIL
 
 
-def _cmd_scan(parser, args):
-    config = ScanConfig(
-        n=args.n,
-        mode=args.mode,
-        sample_count=args.trials,
-        seed=args.seed,
-        budget=args.budget,
-        out=args.out,
-        workers=args.workers,
-        class_ceiling=args.ceiling,
+def _cmd_scan(args):
+    report = fuglede_scan(
+        ScanConfig(
+            n=args.n,
+            mode=args.mode,
+            sample_count=args.trials,
+            seed=args.seed,
+            budget=args.budget,
+            out=args.out,
+            workers=args.workers,
+            class_ceiling=args.ceiling,
+        )
     )
-    try:
-        report = fuglede_scan(config)
-    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be opened
-        parser.error(str(exc))
     print(f"scan N={report.n} mode={report.mode} classes={report.classes}")
     print(
         f"spectral={report.spectral} tiles={report.tiles} "
@@ -180,43 +156,28 @@ def _cmd_scan(parser, args):
     return EXIT_OK
 
 
-def _cmd_lemmas(parser, args):
+def _cmd_lemmas(args):
     params = {}
     for item in args.params:
         key, sep, value = item.partition("=")
         if not sep or not key:
-            parser.error(f"suite parameters take the form key=value, got {item!r}")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value
+            raise ValueError(f"suite parameters take the form key=value, got {item!r}")
+        params[key] = int(value) if value.removeprefix("-").isdecimal() else value
     # trials=K and seed=K are accepted positionally as well as via flags
     trials = args.trials if args.trials is not None else params.pop("trials", 100)
     seed = args.seed if args.seed is not None else params.pop("seed", 0)
     if not isinstance(trials, int) or not isinstance(seed, int):
-        parser.error("trials and seed must be integers")
-    try:
-        report = run_suite(args.suite, params, trials=trials, seed=seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("trials and seed must be integers")
+    report = run_suite(args.suite, params, trials=trials, seed=seed)
     print("\n".join(report.lines()))
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _cmd_replay(parser, args):
-    try:
-        certs = read_certificates(args.file)
-    except OSError as exc:
-        parser.error(str(exc))
-    except MalformedCertificate as exc:
-        parser.error(f"malformed certificate: {exc}")
+def _cmd_replay(args):
+    certs = read_certificates(args.file)
     bad = 0
     for i, cert in enumerate(certs):
-        try:
-            ok = replay(cert)
-        except VersionMismatch as exc:
-            parser.error(str(exc))
-        if not ok:
+        if not replay(cert):
             bad += 1
             print(f"certificate {i} (N={cert.n} {cert.kind}): verdict NOT reproduced")
     print(f"replayed {len(certs)} certificates, {bad} mismatches")
@@ -280,9 +241,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args.parser, args)
+    args = build_parser().parse_args(argv)
+    # the one place a refusal becomes exit 3; internal-consistency failures
+    # (AssertionError, ConstructionError, ArithmeticError) stay tracebacks
+    try:
+        return args.func(args)
+    except (ValueError, OSError, VersionMismatch) as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -59,10 +59,8 @@ class ModulusTables:
     n: int
     modulus: Modulus
     units: tuple[int, ...]
-    n_chunks: int
-    full: int
     enc_tables: dict  # unit -> list of (1024,) uint64 arrays, one per chunk
-    rev_tables: tuple  # n_chunks arrays decoding an encoding to a mask
+    rev_tables: tuple  # one array per 10-bit chunk, decoding an encoding to a mask
     divisors: tuple[int, ...]  # proper divisors e of n (classes gcd(g,n)=e)
     fold_masks: dict  # e -> (d,) uint64, bits of residues i mod d, d = n//e
     reductions: dict  # e -> (d, phi(d)) int64, x^i mod Phi_d by rows
@@ -126,8 +124,6 @@ def modulus_tables(n: int) -> ModulusTables:
         n=n,
         modulus=m,
         units=units,
-        n_chunks=(n + _CHUNK - 1) // _CHUNK,
-        full=(1 << n) - 1,
         enc_tables=enc_tables,
         rev_tables=rev_tables,
         divisors=divisors,

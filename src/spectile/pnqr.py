@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
-from .cyclotomic import CyclotomicInteger, is_prime, prime_power_vanishing
-from .groupring import GroupRingElement, Modulus, ZeroSet, as_modulus, zero_set
+from .cyclotomic import is_prime, prime_power_vanishing
+from .groupring import GroupRingElement, Modulus, ZeroSet, as_modulus, char_value, zero_set
 
 __all__ = [
     "PnqrModulus",
@@ -215,17 +215,6 @@ def all_divisor_classes(pm: PnqrModulus) -> list[DivisorClass]:
     return out
 
 
-def _cell_char(cell: GroupRingElement, pm: PnqrModulus, i: int) -> CyclotomicInteger:
-    """Value of x -> zeta_{p^n}^{p^i x} on a Z_{p^n} element, as an element
-    of Z[zeta_{p^(n-i)}].  For i = n this is the augmentation map."""
-    order = pm.p ** (pm.n - i)
-    folded = [0] * order
-    for x, c in enumerate(cell.coeffs):
-        if c:
-            folded[x % order] += c
-    return CyclotomicInteger.from_coeffs(order, folded)
-
-
 def _cell_char_vanishes(cell: GroupRingElement, pm: PnqrModulus, i: int) -> bool:
     # expand back to length p^n and apply the residue-class criterion there
     pn = pm.pn
@@ -388,10 +377,10 @@ def grid_implications(
                     break
         elif cid == 3:
             cols = [
-                pm.r * _cell_char(_column_sum(grid, k), pm, i) for k in range(pm.r)
+                pm.r * char_value(_column_sum(grid, k), pm.p**i) for k in range(pm.r)
             ]
             rows = [
-                pm.q * _cell_char(_row_sum(grid, j), pm, i) for j in range(pm.q)
+                pm.q * char_value(_row_sum(grid, j), pm.p**i) for j in range(pm.q)
             ]
             for k in range(1, pm.r):
                 if cols[k] != cols[0]:

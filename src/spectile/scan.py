@@ -381,7 +381,7 @@ def _load_existing(path: str, config: ScanConfig, counts: np.ndarray, flagged: l
     if not os.path.exists(path):
         return np.zeros(0, dtype=np.uint64)
     masks = array("Q")
-    prefix = f"{config.n}:"
+    n_text = str(config.n)
     keep = None
     with open(path, "r+b") as fh:
         offset = 0
@@ -392,7 +392,13 @@ def _load_existing(path: str, config: ScanConfig, counts: np.ndarray, flagged: l
                     rec = json.loads(raw)
                     key, spec, tiles, spec_nodes, tile_nodes, *_ = _FIELDS(rec)
                     cell = 3 * _CODES[spec] + _CODES[tiles]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                    modulus, _, digits = key.partition(":")
+                    mask = int(digits, 16)
+                    # a key that is not "<n>:<hex>" or a node count that is
+                    # not an int is damage too, like a missing field
+                    if not (0 <= mask < 1 << 64 and type(spec_nodes) is type(tile_nodes) is int):
+                        raise TypeError("mistyped record field")
+                except (ValueError, KeyError, TypeError, AttributeError):
                     rec = None
                     if fh.readline().endswith(b"\n"):
                         raise ValueError(f"corrupt scan record in {path!r}") from None
@@ -400,7 +406,7 @@ def _load_existing(path: str, config: ScanConfig, counts: np.ndarray, flagged: l
                 keep = offset  # partial or damaged tail, rewrite from here
                 break
             if not (
-                key.startswith(prefix)
+                modulus == n_text
                 and _fits(spec, spec_nodes, config.budget)
                 and _fits(tiles, tile_nodes, config.budget)
             ):
@@ -412,7 +418,7 @@ def _load_existing(path: str, config: ScanConfig, counts: np.ndarray, flagged: l
             cert = rec.get("certificate")
             if cert is not None:
                 flagged.append((key, Certificate.from_payload(cert)))
-            masks.append(int(key[len(prefix) :], 16))
+            masks.append(mask)
             offset += len(raw)
         if keep is not None:
             fh.truncate(keep)

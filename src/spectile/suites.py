@@ -51,17 +51,6 @@ from .tiling import ConstructionError, complement_from_spectrum
 
 __all__ = ["SuiteReport", "SUITE_NAMES", "run_suite", "lemma28_brute_instances"]
 
-SUITE_NAMES = (
-    "coro32",
-    "lemma33",
-    "lemma27",
-    "lemma28",
-    "lemma26",
-    "lemma41",
-    "sec41",
-)
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     suite: str
@@ -115,8 +104,7 @@ def _coset_union(rng: random.Random, n: int) -> GroupRingElement:
 # -- coro32: grid predicates vs direct membership --------------------------
 
 
-def _run_coro32(params, trials, seed):
-    n = params.get("n", 60)
+def _run_coro32(trials, seed, n):
     pm = PnqrModulus.from_int(n)
     classes = all_divisor_classes(pm)
     rng = random.Random(seed)
@@ -144,9 +132,7 @@ def _run_coro32(params, trials, seed):
 # -- lemma27: prime power vanishing criterion vs generic reduction ---------
 
 
-def _run_lemma27(params, trials, seed):
-    p = params.get("p", 2)
-    n = params.get("n", 4)
+def _run_lemma27(trials, seed, p, n):
     length = p**n
     rng = random.Random(seed)
     instances = 0
@@ -177,10 +163,7 @@ def _run_lemma27(params, trials, seed):
 # -- lemma28: digit set rigidity, exhaustive -------------------------------
 
 
-def _run_lemma28(params, trials, seed):
-    p = params.get("p", 2)
-    n = params.get("n", 3)
-    t = params.get("t", 2)
+def _run_lemma28(trials, seed, p, n, t):
     instances = 0
     counters = []
     failures = []
@@ -225,16 +208,14 @@ def lemma28_brute_instances(p: int, n: int, t: int):
 # -- lemma26: coprime difference pairs in generating sets ------------------
 
 
-def _run_lemma26(params, trials, seed):
-    n = params.get("n", 30)
-    cap = params.get("size_cap", 4)
+def _run_lemma26(trials, seed, n, size_cap):
     m = Modulus(n)
     primes = [p for p, _ in m.factorization]
     instances = 0
     generating = 0
     skipped = 0
     failures = []
-    for extra in range(cap):
+    for extra in range(size_cap):
         for rest in itertools.combinations(range(1, n), extra):
             tset = subset(n, (0,) + rest)
             if not is_generating(tset, m):
@@ -264,8 +245,7 @@ def _run_lemma26(params, trials, seed):
 # -- lemma33: conditional grid identities ----------------------------------
 
 
-def _run_lemma33(params, trials, seed):
-    n = params.get("n", 60)
+def _run_lemma33(trials, seed, n):
     pm = PnqrModulus.from_int(n)
     rng = random.Random(seed)
     target = max(1, trials)
@@ -391,12 +371,11 @@ def _conclusion_holds(b_zs, pm) -> bool:
     return all(c in b_zs.divisor_classes for c in concl)
 
 
-def _run_lemma41(params, trials, seed):
-    n = params.get("n", 30)
+def _run_lemma41(trials, seed, n, mode, size_cap):
     pm = PnqrModulus.from_int(n)
-    mode = params.get("mode", "exhaustive" if n == 30 else "sample")
+    mode = mode or ("exhaustive" if n == 30 else "sample")
     if mode == "exhaustive":
-        return _lemma41_exhaustive(pm, params.get("size_cap", 6))
+        return _lemma41_exhaustive(pm, size_cap)
     if mode != "sample":
         raise ValueError(f"lemma41 mode must be exhaustive or sample, got {mode!r}")
     return _lemma41_sampled(pm, trials, seed)
@@ -488,8 +467,7 @@ def _lemma41_sampled(pm: PnqrModulus, trials, seed):
 # -- sec41: profile complement construction --------------------------------
 
 
-def _run_sec41(params, trials, seed):
-    n = params.get("n", 60)
+def _run_sec41(trials, seed, n):
     pm = PnqrModulus.from_int(n)
     rng = random.Random(seed)
     failures = []
@@ -538,41 +516,41 @@ def _run_sec41(params, trials, seed):
 
 # -- dispatch --------------------------------------------------------------
 
-_RUNNERS = {
-    "coro32": _run_coro32,
-    "lemma33": _run_lemma33,
-    "lemma27": _run_lemma27,
-    "lemma28": _run_lemma28,
-    "lemma26": _run_lemma26,
-    "lemma41": _run_lemma41,
-    "sec41": _run_sec41,
+# suite -> (runner, default of each parameter it takes); a given parameter
+# must have its default's type.  lemma41's empty mode means exhaustive at
+# n = 30 and sampled elsewhere.
+_SUITES = {
+    "coro32": (_run_coro32, {"n": 60}),
+    "lemma33": (_run_lemma33, {"n": 60}),
+    "lemma27": (_run_lemma27, {"p": 2, "n": 4}),
+    "lemma28": (_run_lemma28, {"p": 2, "n": 3, "t": 2}),
+    "lemma26": (_run_lemma26, {"n": 30, "size_cap": 4}),
+    "lemma41": (_run_lemma41, {"n": 30, "mode": "", "size_cap": 6}),
+    "sec41": (_run_sec41, {"n": 60}),
 }
-
-_ALLOWED_PARAMS = {
-    "coro32": {"n"},
-    "lemma33": {"n"},
-    "lemma27": {"p", "n"},
-    "lemma28": {"p", "n", "t"},
-    "lemma26": {"n", "size_cap"},
-    "lemma41": {"n", "mode", "size_cap"},
-    "sec41": {"n"},
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
     suite: str, params: dict | None = None, trials: int = 100, seed: int = 0
 ) -> SuiteReport:
-    if suite not in _RUNNERS:
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    runner, defaults = _SUITES[suite]
     params = dict(params or {})
-    unknown = set(params) - _ALLOWED_PARAMS[suite]
+    unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(
             f"suite {suite!r} does not take parameter(s) "
-            f"{', '.join(sorted(unknown))}; allowed: "
-            f"{', '.join(sorted(_ALLOWED_PARAMS[suite]))}"
+            f"{', '.join(sorted(unknown))}; allowed: {', '.join(sorted(defaults))}"
         )
-    instances, counters, failures = _RUNNERS[suite](params, trials, seed)
+    for key, value in params.items():
+        if type(value) is not type(defaults[key]):
+            raise ValueError(
+                f"suite {suite!r} parameter {key} must be "
+                f"{type(defaults[key]).__name__}, got {value!r}"
+            )
+    instances, counters, failures = runner(trials, seed, **{**defaults, **params})
     return SuiteReport(
         suite=suite,
         params=tuple(sorted(params.items())),

@@ -284,6 +284,16 @@ def test_lemmas_positional_trials_and_param_validation(capsys):
     assert "suite coro32 n=60 trials=5 seed=3" in out
     assert run_cli("lemmas", "coro32", "trails=5") == 3
     assert run_cli("lemmas", "coro32", "trials=few") == 3
+    # a parameter of another type than its default is refused, not a TypeError
+    for suite, param in (
+        ("lemma27", "p=x"),
+        ("lemma28", "t=abc"),
+        ("lemma26", "size_cap=x"),
+        ("lemma41", "size_cap=x"),
+    ):
+        capsys.readouterr()
+        assert run_cli("lemmas", suite, param) == 3
+        assert "must be int" in capsys.readouterr().err
 
 
 def test_replay_paths(capsys, tmp_path):
@@ -320,6 +330,20 @@ def test_replay_paths(capsys, tmp_path):
     assert run_cli("replay", stale) == 3
 
     assert run_cli("replay", str(tmp_path / "missing.jsonl")) == 3
+
+    # lines that parse but name no replayable claim are refused, not replayed
+    for name, fields in {
+        "no-checks": {"checks": {}},
+        "residue-out-of-range": {"n": 8, "primary_set": [0, 99]},
+        "modulus-one": {"n": 1},
+        "empty-sets": {"primary_set": [], "partner_set": []},
+    }.items():
+        path = str(tmp_path / f"{name}.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({**payloads[1], **fields}) + "\n")
+        capsys.readouterr()
+        assert run_cli("replay", path) == 3
+        assert "malformed certificate" in capsys.readouterr().err
 
 
 def test_no_command_is_usage_error(capsys):

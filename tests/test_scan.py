@@ -271,11 +271,26 @@ def test_in_memory_report_equals_file_backed(tmp_path):
     assert fuglede_scan(ScanConfig(n=16)) == fuglede_scan(ScanConfig(n=16, out=out))
 
 
-def test_corrupt_middle_line_raises(tmp_path):
+def _with_field(key, value):
+    """Damage a record line by setting one field to a mistyped value."""
+    return lambda line: (json.dumps({**json.loads(line), key: value}) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda line: b'{"not a": "scan record"}\n',
+        _with_field("key", 11),
+        _with_field("spectrum_nodes", "x"),
+        _with_field("key", "8:zz"),
+    ],
+    ids=["not-a-record", "int-key", "str-nodes", "non-hex-key"],
+)
+def test_corrupt_middle_line_raises(tmp_path, damage):
     out = str(tmp_path / "n8.jsonl")
     fuglede_scan(ScanConfig(n=8, out=out))
     lines = open(out, "rb").read().splitlines(keepends=True)
-    lines[3] = b'{"not a": "scan record"}\n'
+    lines[3] = damage(lines[3])
     with open(out, "wb") as fh:
         fh.writelines(lines)
     with pytest.raises(ValueError, match="corrupt scan record"):
