@@ -41,10 +41,7 @@ from .pnqr import (
     grid_implications,
 )
 from .spectral import (
-    AffineMap,
     SearchResult,
-    affine_image,
-    affine_orbit,
     canonical_form,
     enumerate_spectra,
     is_spectral_pair,
@@ -85,10 +82,7 @@ __all__ = [
     "divisor_profile",
     "generating_pair",
     "grid_implications",
-    "AffineMap",
     "SearchResult",
-    "affine_image",
-    "affine_orbit",
     "canonical_form",
     "enumerate_spectra",
     "is_spectral_pair",

@@ -153,8 +153,8 @@ def reduce_mod_cyclotomic(coeffs: Sequence[int], order: int) -> tuple[int, ...]:
 class CyclotomicInteger:
     """An element of Z[x]/Phi_order, i.e. an algebraic integer in Q(zeta_order).
 
-    The residue tuple has length phi(order).  Arithmetic is exact; mixing
-    different orders is an error rather than an implicit embedding.
+    The residue tuple has length phi(order); it is zero exactly when the
+    reduced polynomial vanishes at a primitive order-th root of unity.
     """
 
     order: int
@@ -170,52 +170,9 @@ class CyclotomicInteger:
     def from_coeffs(cls, order: int, coeffs: Sequence[int]) -> CyclotomicInteger:
         return cls(order, reduce_mod_cyclotomic(coeffs, order))
 
-    @classmethod
-    def zero(cls, order: int) -> CyclotomicInteger:
-        return cls(order, (0,) * euler_phi(order))
-
     @property
     def is_zero(self) -> bool:
         return not any(self.residue)
-
-    def _check(self, other: CyclotomicInteger) -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} != {other.order}")
-
-    def __add__(self, other: CyclotomicInteger) -> CyclotomicInteger:
-        self._check(other)
-        return CyclotomicInteger(
-            self.order, tuple(a + b for a, b in zip(self.residue, other.residue))
-        )
-
-    def __sub__(self, other: CyclotomicInteger) -> CyclotomicInteger:
-        self._check(other)
-        return CyclotomicInteger(
-            self.order, tuple(a - b for a, b in zip(self.residue, other.residue))
-        )
-
-    def __neg__(self) -> CyclotomicInteger:
-        return CyclotomicInteger(self.order, tuple(-a for a in self.residue))
-
-    def scale(self, k: int) -> CyclotomicInteger:
-        return CyclotomicInteger(self.order, tuple(k * a for a in self.residue))
-
-    def __rmul__(self, k: int) -> CyclotomicInteger:
-        if not isinstance(k, int):
-            return NotImplemented
-        return self.scale(k)
-
-    def __mul__(self, other: CyclotomicInteger | int) -> CyclotomicInteger:
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check(other)
-        prod = [0] * (2 * len(self.residue))
-        for i, a in enumerate(self.residue):
-            if a:
-                for j, b in enumerate(other.residue):
-                    if b:
-                        prod[i + j] += a * b
-        return CyclotomicInteger.from_coeffs(self.order, prod)
 
 
 def prime_power_vanishing(values: Sequence[int], p: int, n: int) -> bool:

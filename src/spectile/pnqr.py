@@ -9,18 +9,21 @@ The payoff is that membership of p^i, p^i*q, p^i*r or p^i*q*r in the zero set
 of X transfers to character conditions on small signed combinations of cells,
 all evaluated inside Z_{p^n} where vanishing is the "constant on residue
 classes mod p^(n-1)" criterion.  The four transfer patterns and the seven
-conditional identities they imply are implemented below, each checkable
-against the direct character computation on Z_N.
+conditional identities they imply are data: one table maps each shape and
+each conclusion to its weighted cell combinations, and one vanishing route
+checks them all.  The transfer patterns are checked against the direct
+character computation on Z_N in the tests and the property suites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cyclotomic import is_prime, prime_power_vanishing
-from .groupring import GroupRingElement, Modulus, ZeroSet, as_modulus, char_value, zero_set
+from .groupring import GroupRingElement, Modulus, ZeroSet, as_modulus, format_set_literal, zero_set
 
 __all__ = [
     "PnqrModulus",
@@ -143,13 +146,9 @@ class GridDecomposition:
         for j in range(self.pm.q):
             for k in range(self.pm.r):
                 cell = self.cells[j][k]
-                if cell.is_zero:
-                    continue
-                parts = []
-                for g in cell.support:
-                    c = cell.coeffs[g]
-                    parts.append(str(g) if c == 1 else f"{g}:{c}")
-                lines.append(f"({j},{k}): {','.join(parts)}")
+                if not cell.is_zero:
+                    entries = format_set_literal(cell).partition("S=")[2]
+                    lines.append(f"({j},{k}): {entries}")
         return "\n".join(lines)
 
 
@@ -215,15 +214,73 @@ def all_divisor_classes(pm: PnqrModulus) -> list[DivisorClass]:
     return out
 
 
-def _cell_char_vanishes(cell: GroupRingElement, pm: PnqrModulus, i: int) -> bool:
-    # expand back to length p^n and apply the residue-class criterion there
+def _cell_char_vanishes(comb: list, pm: PnqrModulus, i: int) -> bool:
+    """chi(sum of weight * cell over comb) = 0, chi p^i-twisted on Z_{p^n}.
+
+    The combination is folded through x -> p^i x back onto Z_{p^n}, where
+    vanishing is the residue-class criterion.
+    """
     pn = pm.pn
     step = pm.p**i
     w = [0] * pn
-    for x, c in enumerate(cell.coeffs):
-        if c:
-            w[(x * step) % pn] += c
+    for weight, cell in comb:
+        for x, c in enumerate(cell.coeffs):
+            if c:
+                w[(x * step) % pn] += weight * c
     return prime_power_vanishing(w, pm.p, pm.n)
+
+
+def _column(grid: GridDecomposition, k: int, weight: int = 1) -> list:
+    return [(weight, row[k]) for row in grid.cells]
+
+
+def _row(grid: GridDecomposition, j: int, weight: int = 1) -> list:
+    return [(weight, cell) for cell in grid.cells[j]]
+
+
+def _cellwise(grid: GridDecomposition, comb):
+    for j in range(grid.pm.q):
+        for k in range(grid.pm.r):
+            yield (j, k), comb(grid.cells, j, k)
+
+
+# Each divisor-class shape and each conclusion 1-7 names a lazily generated
+# sequence of (witness, combination) pairs, a combination being a list of
+# (weight, cell); the predicate holds when chi of every combination vanishes.
+# Conclusion 3 compares r*chi(column k) and q*chi(row j); Z[zeta] has no
+# torsion, so the comparisons are the vanishing of the differences.
+_TABLE = {
+    "p": lambda g: _cellwise(
+        g, lambda a, j, k: [(1, a[j][k]), (-1, a[j][0]), (-1, a[0][k]), (1, a[0][0])]
+    ),
+    "pq": lambda g: (
+        (("column", k), _column(g, k) + _column(g, 0, -1)) for k in range(1, g.pm.r)
+    ),
+    "pr": lambda g: (
+        (("row", j), _row(g, j) + _row(g, 0, -1)) for j in range(1, g.pm.q)
+    ),
+    "pqr": lambda g: [(("total", 0), [(1, c) for row in g.cells for c in row])],
+    1: lambda g: _cellwise(g, lambda a, j, k: [(1, a[j][k]), (-1, a[j][0])]),
+    2: lambda g: _cellwise(g, lambda a, j, k: [(1, a[j][k]), (-1, a[0][k])]),
+    3: lambda g: chain(
+        _TABLE["pq"](g),
+        _TABLE["pr"](g),
+        [(("cross", 0), _column(g, 0, g.pm.r) + _row(g, 0, -g.pm.q))],
+    ),
+    4: lambda g: ((("column", k), _column(g, k)) for k in range(g.pm.r)),
+    5: lambda g: ((("row", j), _row(g, j)) for j in range(g.pm.q)),
+    6: lambda g: _cellwise(g, lambda a, j, k: [(1, a[j][k]), (-1, a[0][0])]),
+    7: lambda g: _cellwise(g, lambda a, j, k: [(1, a[j][k])]),
+}
+
+
+def _failure(grid: GridDecomposition, name: str | int, i: int) -> tuple | None:
+    """The first witness of _TABLE[name] whose combination does not vanish,
+    or None when every combination vanishes."""
+    for witness, comb in _TABLE[name](grid):
+        if not _cell_char_vanishes(comb, grid.pm, i):
+            return witness
+    return None
 
 
 def class_zero_predicate(grid: GridDecomposition, cls: DivisorClass) -> bool:
@@ -240,48 +297,8 @@ def class_zero_predicate(grid: GridDecomposition, cls: DivisorClass) -> bool:
     formulas become cardinality identities; the q*r shape is excluded there
     because its divisor would be 0.
     """
-    pm = grid.pm
-    cls.validate(pm)
-    i = cls.exponent
-    cells = grid.cells
-    if cls.shape == "p":
-        base = cells[0][0]
-        for j in range(pm.q):
-            for k in range(pm.r):
-                comb = cells[j][k] - cells[j][0] - cells[0][k] + base
-                if not _cell_char_vanishes(comb, pm, i):
-                    return False
-        return True
-    if cls.shape == "pq":
-        col0 = _column_sum(grid, 0)
-        for k in range(1, pm.r):
-            if not _cell_char_vanishes(_column_sum(grid, k) - col0, pm, i):
-                return False
-        return True
-    if cls.shape == "pr":
-        row0 = _row_sum(grid, 0)
-        for j in range(1, pm.q):
-            if not _cell_char_vanishes(_row_sum(grid, j) - row0, pm, i):
-                return False
-        return True
-    total = GroupRingElement.zeros(pm.pn)
-    for j in range(pm.q):
-        total = total + _row_sum(grid, j)
-    return _cell_char_vanishes(total, pm, i)
-
-
-def _column_sum(grid: GridDecomposition, k: int) -> GroupRingElement:
-    acc = GroupRingElement.zeros(grid.pm.pn)
-    for j in range(grid.pm.q):
-        acc = acc + grid.cells[j][k]
-    return acc
-
-
-def _row_sum(grid: GridDecomposition, j: int) -> GroupRingElement:
-    acc = GroupRingElement.zeros(grid.pm.pn)
-    for k in range(grid.pm.r):
-        acc = acc + grid.cells[j][k]
-    return acc
+    cls.validate(grid.pm)
+    return _failure(grid, cls.shape, cls.exponent) is None
 
 
 # -- the seven conditional identities --------------------------------------
@@ -336,9 +353,10 @@ def grid_implications(
       7. all four         chi(A_jk) = 0 for all j, k
 
     where chi is the p^exponent-twisted character, column k sums the cells
-    over j and row j sums over k.
+    over j and row j sums over k.  A failed conclusion reports its first
+    violating (j, k), ("column", k) or ("row", j), or ("cross", 0) when
+    conclusion 3's columns and rows are constant but disagree.
     """
-    pm = grid.pm
     hyp = frozenset(hypotheses)
     unknown = hyp - set(SHAPES)
     if unknown:
@@ -347,63 +365,13 @@ def grid_implications(
         cls = DivisorClass(shape, exponent)
         if not class_zero_predicate(grid, cls):
             raise HypothesisNotSatisfied(
-                f"divisor {cls.divisor(pm)} is not in the zero set"
+                f"divisor {cls.divisor(grid.pm)} is not in the zero set"
             )
-    i = exponent
-    checks: list[ConclusionCheck] = []
-
-    def cell_ok(c: GroupRingElement) -> bool:
-        return _cell_char_vanishes(c, pm, i)
-
+    checks = []
     for cid, needs in _REQUIRES.items():
-        if not needs <= hyp:
-            continue
-        holds, witness = True, None
-        if cid in (1, 2, 6, 7):
-            for j in range(pm.q):
-                for k in range(pm.r):
-                    if cid == 1:
-                        comb = grid.cells[j][k] - grid.cells[j][0]
-                    elif cid == 2:
-                        comb = grid.cells[j][k] - grid.cells[0][k]
-                    elif cid == 6:
-                        comb = grid.cells[j][k] - grid.cells[0][0]
-                    else:
-                        comb = grid.cells[j][k]
-                    if not cell_ok(comb):
-                        holds, witness = False, (j, k)
-                        break
-                if not holds:
-                    break
-        elif cid == 3:
-            cols = [
-                pm.r * char_value(_column_sum(grid, k), pm.p**i) for k in range(pm.r)
-            ]
-            rows = [
-                pm.q * char_value(_row_sum(grid, j), pm.p**i) for j in range(pm.q)
-            ]
-            for k in range(1, pm.r):
-                if cols[k] != cols[0]:
-                    holds, witness = False, ("column", k)
-                    break
-            if holds:
-                for j in range(1, pm.q):
-                    if rows[j] != rows[0]:
-                        holds, witness = False, ("row", j)
-                        break
-            if holds and cols[0] != rows[0]:
-                holds, witness = False, ("cross", 0)
-        elif cid == 4:
-            for k in range(pm.r):
-                if not cell_ok(_column_sum(grid, k)):
-                    holds, witness = False, ("column", k)
-                    break
-        elif cid == 5:
-            for j in range(pm.q):
-                if not cell_ok(_row_sum(grid, j)):
-                    holds, witness = False, ("row", j)
-                    break
-        checks.append(ConclusionCheck(cid, holds, witness))
+        if needs <= hyp:
+            witness = _failure(grid, cid, exponent)
+            checks.append(ConclusionCheck(cid, witness is None, witness))
     return ImplicationReport(exponent, hyp, tuple(checks))
 
 

@@ -25,53 +25,21 @@ contains 0 and is what the scan harness keys records by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from .groupring import GroupRingElement, ZeroSet, as_modulus, subset, zero_set
 
 __all__ = [
-    "AffineMap",
     "SpectralVerdict",
     "SearchResult",
     "BudgetExhausted",
-    "affine_image",
     "is_spectral_pair",
     "spectrum_search",
     "enumerate_spectra",
     "canonical_form",
-    "affine_orbit",
 ]
 
 DEFAULT_BUDGET = 10**8
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> scale * x + shift on Z_n, with scale a unit."""
-
-    n: int
-    scale: int
-    shift: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("modulus must be >= 2")
-        if gcd(self.scale % self.n, self.n) != 1:
-            raise ValueError(f"scale {self.scale} is not a unit mod {self.n}")
-
-    def __call__(self, g: int) -> int:
-        return (self.scale * g + self.shift) % self.n
-
-    def inverse(self) -> AffineMap:
-        u = pow(self.scale, -1, self.n)
-        return AffineMap(self.n, u, (-u * self.shift) % self.n)
-
-
-def affine_image(x: GroupRingElement, f: AffineMap) -> GroupRingElement:
-    if x.n != f.n:
-        raise ValueError(f"map on Z_{f.n} applied to element of Z_{x.n}")
-    return x.twist(f.scale).translate(f.shift)
 
 
 @dataclass(frozen=True)
@@ -286,16 +254,3 @@ def canonical_form(x: GroupRingElement) -> GroupRingElement:
         if cand > best:
             best = cand
     return subset(x.modulus, [g for g in range(n) if (best >> (n - 1 - g)) & 1])
-
-
-def affine_orbit(x: GroupRingElement) -> Iterator[GroupRingElement]:
-    """Distinct affine images of a subset, in no particular order."""
-    seen: set[int] = set()
-    for u in x.modulus.units():
-        tw = x.twist(u)
-        for v in range(x.n):
-            img = tw.translate(v)
-            m = img.mask
-            if m not in seen:
-                seen.add(m)
-                yield img

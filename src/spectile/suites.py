@@ -18,7 +18,9 @@ independent route and reports counts plus any failures:
 * sec41: the profile-based tiling complement on spectral pairs meeting its
   preconditions, including the subgroup worked example.
 
-Every suite is deterministic given (params, trials, seed).
+Every suite is deterministic given (params, trials, seed).  A run that
+checks no instance and records no failure verifies nothing, so run_suite
+refuses it with ValueError rather than reporting a failed check.
 """
 
 from __future__ import annotations
@@ -551,6 +553,11 @@ def run_suite(
                 f"{type(defaults[key]).__name__}, got {value!r}"
             )
     instances, counters, failures = runner(trials, seed, **{**defaults, **params})
+    if not instances and not failures:
+        raise ValueError(
+            f"suite {suite!r} with {params or 'default parameters'} and "
+            f"trials={trials} leaves no instance to check"
+        )
     return SuiteReport(
         suite=suite,
         params=tuple(sorted(params.items())),

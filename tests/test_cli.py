@@ -294,6 +294,19 @@ def test_lemmas_positional_trials_and_param_validation(capsys):
         capsys.readouterr()
         assert run_cli("lemmas", suite, param) == 3
         assert "must be int" in capsys.readouterr().err
+    # well-typed parameters that leave nothing to check are refused, not
+    # reported as a failed verification
+    for args in (
+        ("lemma28", "t=5"),
+        ("lemma26", "size_cap=-1"),
+        ("coro32", "trials=-3"),
+        ("lemma27", "trials=0"),
+        ("lemma41", "size_cap=0"),
+    ):
+        assert run_cli("lemmas", *args) == 3
+        captured = capsys.readouterr()
+        assert "no instance to check" in captured.err
+        assert "instances checked" not in captured.out
 
 
 def test_replay_paths(capsys, tmp_path):

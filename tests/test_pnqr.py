@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectile import pnqr
 from spectile.groupring import GroupRingElement, subset, zero_set
 from spectile.pnqr import (
+    SHAPES,
+    _REQUIRES,
     DivisorClass,
     HypothesisNotSatisfied,
     PnqrModulus,
@@ -173,8 +177,6 @@ def _coset_union(rng: random.Random, n: int) -> set[int]:
 
 
 def test_implications_hold_when_hypotheses_hold():
-    from spectile.pnqr import SHAPES, _REQUIRES
-
     rng = random.Random(3301)
     pm = PnqrModulus.from_int(60)
     seen = {cid: 0 for cid in _REQUIRES}
@@ -196,6 +198,38 @@ def test_implications_hold_when_hypotheses_hold():
                     assert report.all_hold, (sorted(a), i, cid, report)
     # every conclusion must actually have been exercised
     assert all(v > 20 for v in seen.values()), seen
+
+
+# sha256 over (conclusion, holds, witness) of every check in the test below;
+# it pins each conclusion's combinations and its witness order
+CONCLUSION_PIN = "e16db45dd773529e331ab3f6f96b85df79f6353f4b2f03906d260b4c6ebce022"
+
+
+def test_conclusions_pinned_where_they_fail(monkeypatch):
+    # with the hypothesis check switched off every conclusion runs on every
+    # set, so it fails on most of them and a swapped or vacuous combination
+    # changes the digest.  No ("cross", 0) witness can occur: once columns
+    # and rows are constant, both sides equal chi of the whole set.
+    monkeypatch.setattr(pnqr, "class_zero_predicate", lambda grid, cls: True)
+    digest = hashlib.sha256()
+    seen = set()
+    for n in (30, 60, 84, 90, 120):
+        pm = PnqrModulus.from_int(n)
+        rng = random.Random(n)
+        for t in range(100):
+            if t % 2:
+                a = set(rng.sample(range(n), rng.randint(1, n - 1)))
+            else:
+                a = _coset_union(rng, n)
+            grid = decompose(subset(n, a), pm)
+            for i in range(pm.n + 1):
+                # p^n*q*r is the class of 0, so pqr is claimed only below n
+                shapes = SHAPES if i < pm.n else ("p", "pq", "pr")
+                for c in grid_implications(grid, i, shapes).checks:
+                    digest.update(repr((c.conclusion, c.holds, c.witness)).encode())
+                    seen.add((c.conclusion, c.holds))
+    assert seen == {(cid, holds) for cid in _REQUIRES for holds in (True, False)}
+    assert digest.hexdigest() == CONCLUSION_PIN
 
 
 def test_implications_reject_false_hypothesis():
