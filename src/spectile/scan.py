@@ -26,18 +26,20 @@ and the parent appends the chunks' records in sequence order, flushing after
 each, so the file always holds a prefix of the full record stream.  A crash
 loses only the chunks in flight: the one being decided in-process, or at
 most AHEAD per worker on a pool (plus at most one partial line).
-Resuming truncates a partially written or damaged trailing line, checks that
-the file is a prefix of this config's record stream (same modulus, node
-counts within the budget, the first classes of the same sequence) and
-appends the rest, so an interrupted-and-resumed scan converges to the same
-bytes as an uninterrupted one, whatever the worker count.  A file from
-another config is refused with ValueError before anything is appended.
+Resuming reads only lines the writer could have written as records,
+truncates a partial or damaged trailing line, checks that the file is a
+prefix of this config's record stream (same modulus, node counts within the
+budget, the first classes of the same sequence) and appends the rest, so an
+interrupted-and-resumed scan converges to the same bytes as an uninterrupted
+one, whatever the worker count.  Another config's file, or a damaged line
+before the last, is refused with ValueError before anything is appended.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from array import array
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +47,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter
 
 import numpy as np
 
@@ -230,7 +231,7 @@ def _sample_classes(n: int, count: int, seed: int) -> np.ndarray:
 
 # verdict codes index _WORDS; a class's cell in the 3x3 count is 3 * has_spectrum + tiles
 _WORDS = ("no", "yes", "inconclusive")
-_CODES = {word: code for code, word in enumerate(_WORDS)}
+_CODES = {word.encode(): code for code, word in enumerate(_WORDS)}  # as read back from a line
 _STATUS_CODES = {"none": 0, "found": 1, "exhausted": 2}
 _SKIPPED = SearchResult("none", None, 0)
 
@@ -359,69 +360,65 @@ def _report(config: ScanConfig, counts: np.ndarray, flagged: list) -> ScanReport
 # -- persistence -----------------------------------------------------------
 
 
-_FIELDS = itemgetter(  # a record line missing any of these is damaged
-    "key", "has_spectrum", "tiles", "spectrum_nodes", "tile_nodes", "n", "set", "size"
+# _record_line's grammar: a line is a record only if the writer could have
+# written it, byte for byte.  Groups: certificate, has_spectrum, key, the
+# key's modulus and hex mask, spectrum_nodes, tile_nodes, tiles.  Integers
+# have no leading zero, n repeats the key's modulus, and a mask has at most
+# 16 hex digits, so it fits in 64 bits.  Set texts are not compared with key.
+_LINE = re.compile(
+    rb'\{(?:"certificate":(\{"checks":\{"[a-z_]+":(?:true|false)(?:,"[a-z_]+":(?:true|false))*\},'
+    rb'"kind":"[a-z_]+","n":[1-9][0-9]*,"partner_set":\[[0-9,]+\],"primary_set":\[[0-9,]+\],'
+    rb'"seed":(?:0|[1-9][0-9]*|null),"tool_version":"[^"\\]+"\}),)?'
+    rb'"has_spectrum":"(no|yes|inconclusive)",'
+    rb'"key":"((?P<n>[1-9][0-9]*):([1-9a-f][0-9a-f]{0,15}))","n":(?P=n),"set":\[[0-9,]+\],'
+    rb'"size":[1-9][0-9]*,"spectrum_nodes":(0|[1-9][0-9]*),"tile_nodes":(0|[1-9][0-9]*),'
+    rb'"tiles":"(no|yes|inconclusive)"\}\n'
 )
 
 
-def _fits(verdict: str, nodes: int, budget: int) -> bool:
+def _fits(verdict: bytes, nodes: int, budget: int) -> bool:
     # both searches stop at exactly budget + 1 nodes when the budget runs out
-    return nodes == budget + 1 if verdict == "inconclusive" else nodes <= budget
+    return nodes == budget + 1 if verdict == b"inconclusive" else nodes <= budget
 
 
 def _load_existing(path: str, config: ScanConfig, counts: np.ndarray, flagged: list) -> np.ndarray:
     """Tally the records on disk and return their masks, in file order.
 
-    The file is read one line at a time.  A partially written trailing line,
-    or a damaged last line, is truncated so the scan rewrites it; a damaged
-    line before the last is an error.  So is a record of another modulus or
-    one whose node counts another budget produced: the file is then not this
-    config's record stream (_chunks checks the class order).
+    The file is read one line at a time; a line is a record only if it
+    fullmatches _LINE.  A last line that does not (say, a partial one) is
+    truncated so the scan rewrites it; any earlier one is an error.  So is
+    a record of another modulus or one whose node counts another budget
+    produced: the file is then not this config's record stream (_chunks
+    checks the class order).
     """
     if not os.path.exists(path):
         return np.zeros(0, dtype=np.uint64)
     masks = array("Q")
-    n_text = str(config.n)
-    keep = None
+    n_text = str(config.n).encode()
     with open(path, "r+b") as fh:
         offset = 0
         for raw in fh:
-            rec = None
-            if raw.endswith(b"\n"):
-                try:
-                    rec = json.loads(raw)
-                    key, spec, tiles, spec_nodes, tile_nodes, *_ = _FIELDS(rec)
-                    cell = 3 * _CODES[spec] + _CODES[tiles]
-                    modulus, _, digits = key.partition(":")
-                    mask = int(digits, 16)
-                    # a key that is not "<n>:<hex>" or a node count that is
-                    # not an int is damage too, like a missing field
-                    if not (0 <= mask < 1 << 64 and type(spec_nodes) is type(tile_nodes) is int):
-                        raise TypeError("mistyped record field")
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    rec = None
-                    if fh.readline().endswith(b"\n"):
-                        raise ValueError(f"corrupt scan record in {path!r}") from None
-            if rec is None:
-                keep = offset  # partial or damaged tail, rewrite from here
+            m = _LINE.fullmatch(raw)
+            if m is None:
+                if fh.readline().endswith(b"\n"):
+                    raise ValueError(f"corrupt scan record in {path!r}")
+                fh.truncate(offset)  # partial or damaged tail, rewrite from here
                 break
+            cert, spec, key, modulus, digits, spec_nodes, tile_nodes, tiles = m.groups()
             if not (
                 modulus == n_text
-                and _fits(spec, spec_nodes, config.budget)
-                and _fits(tiles, tile_nodes, config.budget)
+                and _fits(spec, int(spec_nodes), config.budget)
+                and _fits(tiles, int(tile_nodes), config.budget)
             ):
                 raise ValueError(
-                    f"cannot resume {path!r}: record {key} is not from a scan "
+                    f"cannot resume {path!r}: record {key.decode()} is not from a scan "
                     f"of Z_{config.n} at budget {config.budget}"
                 )
-            counts[cell] += 1
-            cert = rec.get("certificate")
+            counts[3 * _CODES[spec] + _CODES[tiles]] += 1
             if cert is not None:
-                flagged.append((key, Certificate.from_payload(cert)))
-            masks.append(mask)
+                flagged.append((key.decode(), Certificate.from_json(cert.decode())))
+            masks.append(int(digits, 16))
             offset += len(raw)
-        if keep is not None:
-            fh.truncate(keep)
     return np.frombuffer(masks, dtype=np.uint64)
 
 
@@ -492,6 +489,8 @@ def fuglede_scan(config: ScanConfig) -> ScanReport:
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.budget < 0:
         raise ValueError(f"budget must be >= 0, got {config.budget}")
+    if config.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {config.workers}")
     if config.mode == "sample" and config.sample_count < 1:
         raise ValueError("sample mode needs sample_count >= 1")
     if config.mode == "sample" and config.sample_count > scan_class_count(n):
@@ -529,7 +528,7 @@ def fuglede_scan(config: ScanConfig) -> ScanReport:
         out_fh = None
         if config.out is not None:
             out_fh = stack.enter_context(open(config.out, "a", encoding="utf-8"))
-        if config.workers <= 1:
+        if config.workers == 1:
             results = map(_chunk_worker, jobs)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))

@@ -42,6 +42,13 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 
+def _search_budget(budget: int | None) -> int:
+    """Every search's node budget: DEFAULT_BUDGET for None, a negative one refused."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return DEFAULT_BUDGET if budget is None else budget
+
+
 @dataclass(frozen=True)
 class SpectralVerdict:
     is_pair: bool
@@ -174,10 +181,10 @@ def spectrum_search(
     pruning rule.  Returns status "exhausted" with the node count when the
     budget runs out before the question is settled.
     """
+    budget = _search_budget(budget)
     zmask, adj = _cayley_graph(a, zeros)
     if a.mass == 1:
         return SearchResult("found", subset(a.modulus, [0]), 0)
-    budget = DEFAULT_BUDGET if budget is None else budget
     n = a.n
     nodes = 0
     # first-level symmetry break: the smallest nonzero element of some
@@ -197,16 +204,16 @@ def spectrum_search(
 def enumerate_spectra(
     a: GroupRingElement,
     zeros: ZeroSet | None = None,
-    node_budget: int | None = None,
+    budget: int | None = None,
 ) -> Iterator[GroupRingElement]:
     """Yield every spectrum B containing 0, in ascending lexicographic order.
 
     No unit symmetry breaking here: callers get the complete list of cliques
     through 0, one per translation class of spectra.  Raises BudgetExhausted
-    once the walk takes more than node_budget vertices.
+    once the walk takes more than budget vertices.
     """
+    budget = _search_budget(budget)
     zmask, adj = _cayley_graph(a, zeros)
-    budget = DEFAULT_BUDGET if node_budget is None else node_budget
     for clique, nodes in _cliques([0], zmask, a.mass, adj, budget, 0):
         if nodes > budget:
             raise BudgetExhausted(f"enumeration exceeded {budget} nodes")

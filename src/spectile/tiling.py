@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .cyclotomic import factorize
 from .groupring import GroupRingElement, is_char_zero, subset, zero_set
 from .pnqr import PnqrModulus, divisor_profile
-from .spectral import DEFAULT_BUDGET, SearchResult, _rot_left, is_spectral_pair
+from .spectral import DEFAULT_BUDGET, SearchResult, _rot_left, _search_budget, is_spectral_pair
 
 __all__ = [
     "TilingVerdict",
@@ -108,9 +108,9 @@ def complement_search(
     are translation invariant, and the result is verified before being
     returned.
     """
+    budget = _search_budget(budget)
     if not a.is_set:
         raise ValueError("complement search needs a set")
-    budget = DEFAULT_BUDGET if budget is None else budget
     s = a.mass
     if s == 0 or a.n % s or not _t1(a)[1]:
         return SearchResult("none", None, 0)

@@ -260,6 +260,16 @@ def test_refused_scan_prints_scan_usage(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: spectile scan")
     assert "budget must be >= 0" in err
+    # the single-set searches refuse a negative budget the same way
+    for command in ("spectrum", "tile"):
+        assert run_cli(command, "--n", "8", "--set", "0,1", "--budget", "-1") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: spectile {command}")
+        assert err.count("error:") == 1 and "budget must be >= 0" in err
+    assert run_cli("scan", "--n", "8", "--workers", "0") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spectile scan")
+    assert err.count("error:") == 1 and "workers must be >= 1" in err
 
 
 def test_scan_inconclusive_exit(capsys):

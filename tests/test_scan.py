@@ -138,6 +138,7 @@ def test_record_json_round_trip(record_files, tmp_path, monkeypatch):
         with open(path, encoding="utf-8") as fh:
             texts[name] = fh.read()
         for line in texts[name].splitlines(keepends=True):
+            assert scan._LINE.fullmatch(line.encode()), line  # resume reads it as a record
             payload = json.loads(line)
             assert line == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
             rec = ScanRecord.from_payload(payload)
@@ -271,6 +272,11 @@ def test_in_memory_report_equals_file_backed(tmp_path):
     assert fuglede_scan(ScanConfig(n=16)) == fuglede_scan(ScanConfig(n=16, out=out))
 
 
+def _reserialized(line):
+    """The same record, as json.dumps writes it with default separators."""
+    return (json.dumps(json.loads(line)) + "\n").encode()
+
+
 def _with_field(key, value):
     """Damage a record line by setting one field to a mistyped value."""
     return lambda line: (json.dumps({**json.loads(line), key: value}) + "\n").encode()
@@ -283,8 +289,9 @@ def _with_field(key, value):
         _with_field("key", 11),
         _with_field("spectrum_nodes", "x"),
         _with_field("key", "8:zz"),
+        _reserialized,
     ],
-    ids=["not-a-record", "int-key", "str-nodes", "non-hex-key"],
+    ids=["not-a-record", "int-key", "str-nodes", "non-hex-key", "reserialized"],
 )
 def test_corrupt_middle_line_raises(tmp_path, damage):
     out = str(tmp_path / "n8.jsonl")
@@ -304,6 +311,19 @@ def test_damaged_tail_is_rewritten(tmp_path):
     with open(out, "ab") as fh:
         fh.write(b'{"garbage": true}\n')
     fuglede_scan(ScanConfig(n=8, out=out))
+    assert open(out, "rb").read() == reference
+
+
+def test_reserialized_tail_is_rewritten(tmp_path):
+    # valid JSON holding the right fields is still not a line the writer wrote
+    out = str(tmp_path / "n12.jsonl")
+    fuglede_scan(ScanConfig(n=12, out=out))
+    reference = open(out, "rb").read()
+    lines = reference.splitlines(keepends=True)[:60]
+    lines[-1] = _reserialized(lines[-1])
+    with open(out, "wb") as fh:
+        fh.writelines(lines)
+    fuglede_scan(ScanConfig(n=12, out=out))
     assert open(out, "rb").read() == reference
 
 
@@ -496,6 +516,9 @@ def test_config_validation(tmp_path):
         fuglede_scan(ScanConfig(n=8, mode="sample", sample_count=22))
     with pytest.raises(ValueError, match="budget must be >= 0"):
         fuglede_scan(ScanConfig(n=8, budget=-1))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            fuglede_scan(ScanConfig(n=8, workers=workers))
     # a pool needs no output file: the records come back to the parent
     assert fuglede_scan(ScanConfig(n=12, workers=2)) == fuglede_scan(ScanConfig(n=12))
     with pytest.raises(ValueError, match="ceiling"):

@@ -173,7 +173,7 @@ def test_search_and_enumeration_node_counts_are_pinned():
         res = spectrum_search(a, budget=10**4)
         listed = []
         try:
-            for b in enumerate_spectra(a, node_budget=10**3):
+            for b in enumerate_spectra(a, budget=10**3):
                 listed.append(b.support)
             end = "done"
         except BudgetExhausted:
